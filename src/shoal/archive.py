@@ -13,7 +13,7 @@ Disk timing is simulated: flush duration follows
 charged against a per-disk clock driven by record timestamps; the page bytes
 themselves are written synchronously to a real per-disk file. Flushed pages
 carry a header with their timestamp range so history queries can skip pages
-that cannot match.
+that cannot match; records still in a filling page are read from memory.
 
 The optimizer picks the disk count n_d maximizing min(U_d, R_d) subject to
 pages filling no faster than they flush (min T_m >= max T_d), where
@@ -29,6 +29,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import spatial
 from .schooling import LocationRecord
@@ -354,28 +355,37 @@ class Archiver:
 
     # ---------------------------------------------------------------- queries
 
-    def _read_page(self, disk: _Disk, meta: _PageMeta) -> list[tuple]:
+    def _read_page(self, disk: _Disk, meta: _PageMeta) -> Iterator[tuple]:
         f = disk.file()
         f.seek(meta.offset + _PAGE_HEADER.size)
-        buf = f.read(meta.count * RECORD_SIZE)
-        return [_RECORD.unpack_from(buf, i * RECORD_SIZE) for i in range(meta.count)]
+        return _RECORD.iter_unpack(f.read(meta.count * RECORD_SIZE))
 
-    def _raw_records(self, oid: int, t0: float, t1: float) -> list[ArchivedRecord]:
-        d = self._placement.get(oid)
-        if d is None:
-            return []
-        disk = self.disks[d]
+    def _scan(self, disk: _Disk, t0: float, t1: float) -> Iterator[tuple]:
+        """Raw records of one disk stamped in [t0, t1]: those of each flushed
+        page whose header range can match, then those still in the filling page."""
         lo = int(round(t0 * 1e6))
         hi = int(round(t1 * 1e6))
-        out = []
         for meta in disk.meta:
             if meta.count == 0 or meta.max_ts < lo or meta.min_ts > hi:
                 self.pages_skipped += 1
                 continue
             self.pages_scanned += 1
             for r in self._read_page(disk, meta):
-                if r[0] == oid and lo <= r[1] <= hi:
-                    out.append(ArchivedRecord(r[0], r[1] / 1e6, r[2], r[3], r[4], r[5]))
+                if lo <= r[1] <= hi:
+                    yield r
+        for r in disk.pages[disk.filling].records:
+            if lo <= r[1] <= hi:
+                yield r
+
+    def _raw_records(self, oid: int, t0: float, t1: float) -> list[ArchivedRecord]:
+        d = self._placement.get(oid)
+        if d is None:
+            return []
+        out = [
+            ArchivedRecord(r[0], r[1] / 1e6, r[2], r[3], r[4], r[5])
+            for r in self._scan(self.disks[d], t0, t1)
+            if r[0] == oid
+        ]
         out.sort(key=lambda r: r.t)
         return out
 
@@ -422,26 +432,19 @@ class Archiver:
     ) -> list[ArchivedRecord]:
         """All archived records falling inside a cell during [t0, t1].
 
-        Scans every disk but skips pages whose header timestamp range cannot
-        intersect the query; follower spans are reconstructed and filtered
-        the same way.
+        Scans every disk, filling pages included, but skips flushed pages
+        whose header timestamp range cannot intersect the query; follower
+        spans are reconstructed and filtered the same way.
         """
         with self._lock:
             if self.levels is None:
                 raise ArchiveError("region queries need a LevelConfig")
             box = spatial.decode(cell, self.levels)
-            lo = int(round(t0 * 1e6))
-            hi = int(round(t1 * 1e6))
             out = []
             for disk in self.disks:
-                for meta in disk.meta:
-                    if meta.count == 0 or meta.max_ts < lo or meta.min_ts > hi:
-                        self.pages_skipped += 1
-                        continue
-                    self.pages_scanned += 1
-                    for r in self._read_page(disk, meta):
-                        if lo <= r[1] <= hi and box.contains((r[2], r[3]), self.levels.map_size):
-                            out.append(ArchivedRecord(r[0], r[1] / 1e6, r[2], r[3], r[4], r[5]))
+                for r in self._scan(disk, t0, t1):
+                    if box.contains((r[2], r[3]), self.levels.map_size):
+                        out.append(ArchivedRecord(r[0], r[1] / 1e6, r[2], r[3], r[4], r[5]))
             for oid in list(self._events):
                 for rec in self._reconstructed(oid, t0, t1):
                     if box.contains((rec.x, rec.y), self.levels.map_size):

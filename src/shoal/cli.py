@@ -271,13 +271,12 @@ class SimulationRun:
         def writes_now() -> int:
             return sum(t.puts + t.deletes for t in store_tables)
 
-        cluster_seen = 0
         n_buckets = int(math.ceil(duration))
         for sec in range(1, n_buckets + 1):
             boundary = min(float(sec), duration)
             batch = list(self.gen.step(boundary))
             self._ingest(batch)
-            engine.advance_time(boundary)
+            merges = engine.advance_time(boundary)
             queries, failed = self._run_queries(boundary)
             cur = {
                 "updates": tracker.updates, "sheds": tracker.sheds,
@@ -302,7 +301,7 @@ class SimulationRun:
                     "queries": queries,
                     "failed_queries": failed,
                 })
-                for st in engine.cluster_log[cluster_seen:]:
+                for st in merges:
                     report.emit({
                         "type": "clustering",
                         "t": boundary,
@@ -313,7 +312,6 @@ class SimulationRun:
                         "compute_time": st.compute_time,
                         "write_time": st.write_time,
                     })
-                cluster_seen = len(engine.cluster_log)
             last = cur
         received = tracker.updates
         summary = {

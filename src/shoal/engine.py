@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .archive import Archiver, DiskModelParams
 from .nn import FlagConfig, Neighbor, NNQuery, Searcher
-from .schooling import SchoolConfig, Tracker, UpdateMessage, UpdateOutcome
+from .schooling import MergeStats, SchoolConfig, Tracker, UpdateMessage, UpdateOutcome
 from .spatial import LevelConfig
 from .store import Store
 
@@ -57,7 +57,6 @@ class Engine:
         )
         self.searcher = Searcher(self.tracker, cfg.flag, clock=lambda: self.now)
         self._next_age = cfg.age_interval
-        self.cluster_log: list = []  # MergeStats from every scheduler pass
 
     # ------------------------------------------------------------------ drive
 
@@ -66,16 +65,21 @@ class Engine:
             self.advance_time(msg.t)
         return self.tracker.process_update(msg)
 
-    def advance_time(self, t: float) -> None:
-        """Move the sim clock forward, running due clustering and aging work."""
+    def advance_time(self, t: float) -> list[MergeStats]:
+        """Move the sim clock forward, running due clustering and aging work.
+
+        Returns the MergeStats of the clustering passes that ran.
+        """
+        stats = []
         while self._next_age <= t:
             self.now = self._next_age
-            self.cluster_log.extend(self.tracker.clustering_tick(self.now))
+            stats.extend(self.tracker.clustering_tick(self.now))
             self.store.age_tick(int(self.now * 1e6))
             self._next_age += self.cfg.age_interval
         if t > self.now:
             self.now = t
-        self.cluster_log.extend(self.tracker.clustering_tick(self.now))
+        stats.extend(self.tracker.clustering_tick(self.now))
+        return stats
 
     def query(self, x: float, y: float, k: int, t: float | None = None) -> list[Neighbor]:
         return self.searcher.knn(NNQuery(x, y, self.now if t is None else t, k))

@@ -11,18 +11,108 @@ Row keys: the base-4 digits of the curve index, one ASCII byte ('0'..'3') per
 digit, fixed length equal to the level. Lexicographic order of keys therefore
 equals numeric order of indexes, and the key of an ancestor cell is a prefix
 of every descendant's key.
+
+Curve kernels: cells are addressed by integer grid coordinates
+``0 <= x, y < 2**level``; the curve index ``d`` satisfies ``0 <= d < 4**level``.
+The base orientation visits the four level-1 quadrants in the order
+lower-left, upper-left, upper-right, lower-right, so each pair of curve digits
+(base 4) is 0, 1, 2, 3 for those quadrants respectively. The scalar forms
+serve every update and search cell; the numpy batch forms convert whole
+arrays at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 Point = tuple[float, float]
+
+
+def encode_cell(x: int, y: int, level: int) -> int:
+    """Curve index of grid cell (x, y) at the level."""
+    d = 0
+    s = 1 << (level - 1) if level > 0 else 0
+    while s > 0:
+        rx = 1 if (x & s) > 0 else 0
+        ry = 1 if (y & s) > 0 else 0
+        d += s * s * ((3 * rx) ^ ry)
+        if ry == 0:
+            if rx == 1:
+                x = s - 1 - x
+                y = s - 1 - y
+            x, y = y, x
+        s >>= 1
+    return d
+
+
+def decode_cell(d: int, level: int) -> tuple[int, int]:
+    """Grid coordinates of curve index d at the level."""
+    x = y = 0
+    t = d
+    s = 1
+    n = 1 << level
+    while s < n:
+        rx = 1 & (t >> 1)
+        ry = 1 & (t ^ rx)
+        if ry == 0:
+            if rx == 1:
+                x = s - 1 - x
+                y = s - 1 - y
+            x, y = y, x
+        x += s * rx
+        y += s * ry
+        t >>= 2
+        s <<= 1
+    return x, y
+
+
+def encode_cells(xs: np.ndarray, ys: np.ndarray, level: int) -> np.ndarray:
+    """Batch form of encode_cell over coordinate arrays."""
+    x = np.ascontiguousarray(xs, dtype=np.int64).copy()
+    y = np.ascontiguousarray(ys, dtype=np.int64).copy()
+    d = np.zeros(x.shape, np.int64)
+    s = np.int64(1 << (level - 1)) if level > 0 else np.int64(0)
+    while s > 0:
+        rx = ((x & s) > 0).astype(np.int64)
+        ry = ((y & s) > 0).astype(np.int64)
+        d += s * s * ((3 * rx) ^ ry)
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        xf = x[flip]
+        x[flip] = s - 1 - xf
+        y[flip] = s - 1 - y[flip]
+        tx = x[swap].copy()
+        x[swap] = y[swap]
+        y[swap] = tx
+        s >>= 1
+    return d
+
+
+def decode_cells(ds: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of decode_cell over an index array."""
+    t = np.ascontiguousarray(ds, dtype=np.int64).copy()
+    x = np.zeros(t.shape, np.int64)
+    y = np.zeros(t.shape, np.int64)
+    s = np.int64(1)
+    n = np.int64(1) << level
+    while s < n:
+        rx = np.int64(1) & (t >> 1)
+        ry = np.int64(1) & (t ^ rx)
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        xf = x[flip]
+        x[flip] = s - 1 - xf
+        y[flip] = s - 1 - y[flip]
+        tx = x[swap].copy()
+        x[swap] = y[swap]
+        y[swap] = tx
+        x += s * rx
+        y += s * ry
+        t >>= 2
+        s <<= 1
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -68,16 +158,6 @@ class SpatialIndex:
     def text(self) -> str:
         return "L%d:%s" % (self.level, "".join(str(d) for d in self.digits()))
 
-    def parent(self) -> "SpatialIndex":
-        if self.level == 0:
-            raise ValueError("level-0 cell has no parent")
-        return SpatialIndex(self.level - 1, self.value >> 2)
-
-    def ancestor(self, level: int) -> "SpatialIndex":
-        if level > self.level:
-            raise ValueError("ancestor level must not exceed cell level")
-        return SpatialIndex(level, self.value >> (2 * (self.level - level)))
-
 
 @dataclass(frozen=True)
 class CellBox:
@@ -93,31 +173,6 @@ class CellBox:
         x_hi_ok = p[0] < self.x_max or (self.x_max >= map_size and p[0] <= self.x_max)
         y_hi_ok = p[1] < self.y_max or (self.y_max >= map_size and p[1] <= self.y_max)
         return self.x_min <= p[0] and x_hi_ok and self.y_min <= p[1] and y_hi_ok
-
-
-def parse_text(s: str) -> SpatialIndex:
-    """Inverse of SpatialIndex.text, e.g. 'L3:201'."""
-    if not s.startswith("L") or ":" not in s:
-        raise ValueError("bad cell text %r" % s)
-    lvl_s, _, dig = s[1:].partition(":")
-    level = int(lvl_s)
-    if len(dig) != level or any(c not in "0123" for c in dig):
-        raise ValueError("bad cell text %r" % s)
-    value = 0
-    for c in dig:
-        value = (value << 2) | (ord(c) - 48)
-    return SpatialIndex(level, value)
-
-
-def from_key(key: bytes) -> SpatialIndex:
-    level = len(key)
-    value = 0
-    for b in key:
-        d = b - 48
-        if not 0 <= d <= 3:
-            raise ValueError("bad spatial key %r" % key)
-        value = (value << 2) | d
-    return SpatialIndex(level, value)
 
 
 def grid_coord(p: Point, level: int, cfg: LevelConfig) -> tuple[int, int]:
@@ -139,50 +194,26 @@ def grid_coord(p: Point, level: int, cfg: LevelConfig) -> tuple[int, int]:
 def encode(p: Point, level: int, cfg: LevelConfig) -> SpatialIndex:
     """Cell containing the point at the given level."""
     cx, cy = grid_coord(p, level, cfg)
-    return SpatialIndex(level, _kernels.encode_cell(cx, cy, level))
-
-
-def encode_points(xs: np.ndarray, ys: np.ndarray, level: int, cfg: LevelConfig) -> np.ndarray:
-    """Batch form of encode: arrays of map coordinates to curve indexes."""
-    n = 1 << level
-    scale = n / cfg.map_size
-    # floor, not truncation: small negatives must not round into cell 0
-    cx = np.minimum(np.floor(np.asarray(xs) * scale).astype(np.int64), n - 1)
-    cy = np.minimum(np.floor(np.asarray(ys) * scale).astype(np.int64), n - 1)
-    if cx.min(initial=0) < 0 or cy.min(initial=0) < 0:
-        raise ValueError("point outside the map")
-    return _kernels.encode_cells(cx, cy, level)
+    return SpatialIndex(level, encode_cell(cx, cy, level))
 
 
 def decode(idx: SpatialIndex, cfg: LevelConfig) -> CellBox:
     """Extent of the cell in map units."""
-    cx, cy = _kernels.decode_cell(idx.value, idx.level)
+    cx, cy = decode_cell(idx.value, idx.level)
     side = cfg.map_size / (1 << idx.level)
     return CellBox(cx * side, cy * side, (cx + 1) * side, (cy + 1) * side)
 
 
 def neighbors(idx: SpatialIndex, cfg: LevelConfig) -> list[SpatialIndex]:
     """Edge-sharing cells at the same level, clipped at the map boundary."""
-    cx, cy = _kernels.decode_cell(idx.value, idx.level)
+    cx, cy = decode_cell(idx.value, idx.level)
     n = 1 << idx.level
     out = []
     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         nx, ny = cx + dx, cy + dy
         if 0 <= nx < n and 0 <= ny < n:
-            out.append(SpatialIndex(idx.level, _kernels.encode_cell(nx, ny, idx.level)))
+            out.append(SpatialIndex(idx.level, encode_cell(nx, ny, idx.level)))
     return out
-
-
-def min_dist(p: Point, idx: SpatialIndex, cfg: LevelConfig) -> float:
-    """Euclidean distance from the point to the cell box (0 inside)."""
-    box = decode(idx, cfg)
-    dx = max(box.x_min - p[0], 0.0, p[0] - box.x_max)
-    dy = max(box.y_min - p[1], 0.0, p[1] - box.y_max)
-    return math.hypot(dx, dy)
-
-
-def row_key(idx: SpatialIndex) -> bytes:
-    return idx.key()
 
 
 def key_range(idx: SpatialIndex, key_level: int) -> tuple[bytes, bytes]:

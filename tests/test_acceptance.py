@@ -20,7 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from shoal import _kernels, spatial
+from shoal import spatial
 from shoal.archive import (
     DiskModelParams,
     InfeasibleError,
@@ -52,7 +52,7 @@ def test_criterion_01_curve_invariants():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
 
-    # 10^6 randomized round-trips through the active kernel path, both
+    # 10^6 randomized round-trips through the batch kernels, both
     # directions, spread over random levels.
     total = 0
     bad = 0
@@ -62,12 +62,12 @@ def test_criterion_01_curve_invariants():
         side = 1 << level
         gx = rng.integers(0, side, n, dtype=np.int64)
         gy = rng.integers(0, side, n, dtype=np.int64)
-        ds = _kernels.encode_cells(gx, gy, level)
-        rx, ry = _kernels.decode_cells(ds, level)
+        ds = spatial.encode_cells(gx, gy, level)
+        rx, ry = spatial.decode_cells(ds, level)
         bad += int(np.count_nonzero(rx != gx) + np.count_nonzero(ry != gy))
         ds2 = rng.integers(0, side * side, n, dtype=np.int64)
-        x2, y2 = _kernels.decode_cells(ds2, level)
-        bad += int(np.count_nonzero(_kernels.encode_cells(x2, y2, level) != ds2))
+        x2, y2 = spatial.decode_cells(ds2, level)
+        bad += int(np.count_nonzero(spatial.encode_cells(x2, y2, level) != ds2))
         total += n
 
     # Point-level round-trip through the public API: the decoded box
@@ -85,7 +85,7 @@ def test_criterion_01_curve_invariants():
     # Exhaustive adjacency: consecutive curve indexes are edge neighbors.
     for level in range(1, 9):
         ds = np.arange(1 << (2 * level), dtype=np.int64)
-        ox, oy = _kernels.decode_cells(ds, level)
+        ox, oy = spatial.decode_cells(ds, level)
         step = np.abs(np.diff(ox)) + np.abs(np.diff(oy))
         bad += int(np.count_nonzero(step != 1))
 

@@ -244,6 +244,18 @@ class TestHistory:
         assert a.pages_skipped > skipped_before  # batch-two pages pruned by time
         a.close()
 
+    def test_filling_page_records_answer_before_drain(self, tmp_path):
+        # default pages hold 250,000 records, so nothing is flushed yet
+        a = Archiver(DiskModelParams(), n_d=2, directory=str(tmp_path), levels=LEVELS)
+        a.append(7, rec(1.5, 60.0, 70.0))
+        assert a.flush_count() == 0
+        got = a.query_history_by_object(7, 0.0, 2.0)
+        assert [(r.oid, r.t, r.x, r.y) for r in got] == [(7, 1.5, 60.0, 70.0)]
+        assert a.query_history_by_object(7, 2.0, 3.0) == []
+        cell = spatial.encode((60.0, 70.0), 2, LEVELS)
+        assert [r.oid for r in a.query_history_by_region(cell, 0.0, 2.0)] == [7]
+        a.close()
+
     def test_region_query_needs_levels(self, tmp_path):
         from shoal.archive import ArchiveError
 

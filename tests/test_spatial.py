@@ -2,17 +2,15 @@
 
 The reference ordering comes from an independent construction: recursive
 subdivision of the square with explicit frame vectors, which never touches
-the bit-twiddling in shoal._kernels. The two must agree cell for cell.
+the bit-twiddling in shoal.spatial. The two must agree cell for cell.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoal import _kernels, spatial
+from shoal import spatial
 from shoal.spatial import CellBox, LevelConfig, SpatialIndex
 
 CFG = LevelConfig(map_size=1000.0, key_level=8, cluster_level=4)
@@ -49,44 +47,44 @@ class TestCurveOrder:
         for level in range(1, 7):
             pts = hilbert_order(level)
             for d, (x, y) in enumerate(pts):
-                assert _kernels.decode_cell(d, level) == (x, y)
-                assert _kernels.encode_cell(x, y, level) == d
+                assert spatial.decode_cell(d, level) == (x, y)
+                assert spatial.encode_cell(x, y, level) == d
 
     def test_base_orientation(self):
         # level 1: LL, UL, UR, LR
-        assert [_kernels.decode_cell(d, 1) for d in range(4)] == [
+        assert [spatial.decode_cell(d, 1) for d in range(4)] == [
             (0, 0), (0, 1), (1, 1), (1, 0)]
 
     def test_frozen_values(self):
         # Values computed with the recursive construction above.
-        assert _kernels.decode_cell(5, 3) == (3, 0)
-        assert _kernels.decode_cell(37, 3) == (4, 7)
-        assert _kernels.decode_cell(63, 3) == (7, 0)
-        assert _kernels.decode_cell(444, 5) == (14, 24)
-        assert _kernels.decode_cell(12345, 8) == (62, 123)
-        assert _kernels.encode_cell(200, 13, 8) == 61587
-        assert _kernels.encode_cell(255, 0, 8) == 65535
+        assert spatial.decode_cell(5, 3) == (3, 0)
+        assert spatial.decode_cell(37, 3) == (4, 7)
+        assert spatial.decode_cell(63, 3) == (7, 0)
+        assert spatial.decode_cell(444, 5) == (14, 24)
+        assert spatial.decode_cell(12345, 8) == (62, 123)
+        assert spatial.encode_cell(200, 13, 8) == 61587
+        assert spatial.encode_cell(255, 0, 8) == 65535
 
     @given(st.integers(1, 28), st.data())
     def test_roundtrip_any_level(self, level, data):
         d = data.draw(st.integers(0, 4 ** level - 1))
-        x, y = _kernels.decode_cell(d, level)
+        x, y = spatial.decode_cell(d, level)
         assert 0 <= x < (1 << level) and 0 <= y < (1 << level)
-        assert _kernels.encode_cell(x, y, level) == d
+        assert spatial.encode_cell(x, y, level) == d
 
     def test_consecutive_indexes_are_grid_neighbors(self):
         for level in (1, 2, 3, 5):
-            prev = _kernels.decode_cell(0, level)
+            prev = spatial.decode_cell(0, level)
             for d in range(1, 4 ** level):
-                cur = _kernels.decode_cell(d, level)
+                cur = spatial.decode_cell(d, level)
                 assert abs(cur[0] - prev[0]) + abs(cur[1] - prev[1]) == 1
                 prev = cur
 
     def test_prefix_nesting(self):
         for level in (2, 3, 4):
             for d in range(4 ** level):
-                x, y = _kernels.decode_cell(d, level)
-                assert _kernels.decode_cell(d >> 2, level - 1) == (x >> 1, y >> 1)
+                x, y = spatial.decode_cell(d, level)
+                assert spatial.decode_cell(d >> 2, level - 1) == (x >> 1, y >> 1)
 
 
 class TestBatchKernels:
@@ -96,26 +94,12 @@ class TestBatchKernels:
             n = 1 << level
             cx = rng.integers(0, n, 300)
             cy = rng.integers(0, n, 300)
-            vals = _kernels.encode_cells(cx, cy, level)
+            vals = spatial.encode_cells(cx, cy, level)
             for i in range(300):
-                assert vals[i] == _kernels.encode_cell(int(cx[i]), int(cy[i]), level)
-            dx, dy = _kernels.decode_cells(vals, level)
+                assert vals[i] == spatial.encode_cell(int(cx[i]), int(cy[i]), level)
+            dx, dy = spatial.decode_cells(vals, level)
             assert np.array_equal(dx, cx)
             assert np.array_equal(dy, cy)
-
-    def test_encode_points_matches_encode(self):
-        rng = np.random.default_rng(12)
-        xs = rng.uniform(0, CFG.map_size, 200)
-        ys = rng.uniform(0, CFG.map_size, 200)
-        # include the closed max edge
-        xs[0], ys[0] = CFG.map_size, CFG.map_size
-        vals = spatial.encode_points(xs, ys, 6, CFG)
-        for i in range(200):
-            assert vals[i] == spatial.encode((xs[i], ys[i]), 6, CFG).value
-
-    def test_encode_points_rejects_negative(self):
-        with pytest.raises(ValueError):
-            spatial.encode_points(np.array([-1.0]), np.array([5.0]), 3, CFG)
 
 
 class TestKeys:
@@ -130,33 +114,18 @@ class TestKeys:
         assert keys == sorted(keys)
 
     def test_ancestor_key_is_prefix(self):
-        idx = SpatialIndex(6, 2905)
+        level, v = 6, 2905
+        idx = SpatialIndex(level, v)
         for lvl in range(7):
-            anc = idx.ancestor(lvl)
+            anc = SpatialIndex(lvl, v >> 2 * (level - lvl))
             assert idx.key().startswith(anc.key())
-        assert idx.parent() == idx.ancestor(5)
-
-    def test_parent_of_root_raises(self):
-        with pytest.raises(ValueError):
-            SpatialIndex(0, 0).parent()
-        with pytest.raises(ValueError):
-            SpatialIndex(2, 1).ancestor(3)
 
     @given(st.integers(1, 8), st.data())
     def test_text_and_key_roundtrip(self, level, data):
         v = data.draw(st.integers(0, 4 ** level - 1))
         idx = SpatialIndex(level, v)
-        assert spatial.parse_text(idx.text()) == idx
-        assert spatial.from_key(idx.key()) == idx
-
-    @pytest.mark.parametrize("bad", ["", "3:12", "L2:5", "L3:12", "L2:123", "Lx:1"])
-    def test_parse_text_rejects(self, bad):
-        with pytest.raises(ValueError):
-            spatial.parse_text(bad)
-
-    def test_from_key_rejects_bad_digit(self):
-        with pytest.raises(ValueError):
-            spatial.from_key(b"0142")
+        assert int(idx.key(), 4) == v
+        assert idx.text() == "L%d:%s" % (level, idx.key().decode())
 
 
 class TestGeometry:
@@ -194,18 +163,11 @@ class TestGeometry:
         for v in range(64):
             idx = SpatialIndex(level, v)
             nbrs = spatial.neighbors(idx, CFG)
-            cx, cy = _kernels.decode_cell(v, level)
+            cx, cy = spatial.decode_cell(v, level)
             on_edge = int(cx in (0, 7)) + int(cy in (0, 7))
             assert len(nbrs) == 4 - on_edge
             for nb in nbrs:
                 assert idx in spatial.neighbors(nb, CFG)
-
-    def test_min_dist(self):
-        idx = spatial.encode((500.0, 500.0), 2, CFG)  # box [500,750)^2
-        assert spatial.min_dist((600.0, 600.0), idx, CFG) == 0.0
-        assert spatial.min_dist((400.0, 600.0), idx, CFG) == pytest.approx(100.0)
-        assert spatial.min_dist((400.0, 400.0), idx, CFG) == pytest.approx(
-            math.hypot(100.0, 100.0))
 
     def test_cellbox_contains_edges(self):
         box = CellBox(0.0, 0.0, 500.0, 500.0)
