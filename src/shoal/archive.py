@@ -29,7 +29,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import spatial
 from .schooling import LocationRecord
@@ -400,14 +400,18 @@ class Archiver:
             out.append((ev.t, until, ev.leader_id, ev.disp))
         return out
 
-    def _reconstructed(self, oid: int, t0: float, t1: float) -> list[ArchivedRecord]:
+    def _reconstructed(
+        self, oid: int, t0: float, t1: float, leader_records: Callable[[int, float, float], list[ArchivedRecord]]
+    ) -> list[ArchivedRecord]:
+        """The object's follower spans in [t0, t1], rebuilt from what
+        leader_records(leader, lo, hi) returns of each leader's history."""
         out = []
         for since, until, leader, (dx, dy) in self._follower_intervals(oid):
             lo = max(t0, since)
             hi = min(t1, until)
             if lo > hi:
                 continue
-            for r in self._raw_records(leader, lo, hi):
+            for r in leader_records(leader, lo, hi):
                 # the span is open at both ends: records at the boundary
                 # belong to the object's own raw history
                 if since < r.t < until:
@@ -421,7 +425,7 @@ class Archiver:
         follower spans reconstructed from its leaders' trajectories."""
         with self._lock:
             raw = self._raw_records(oid, t0, t1)
-            recon = self._reconstructed(oid, t0, t1)
+            recon = self._reconstructed(oid, t0, t1, self._raw_records)
             have = {(r.oid, r.t) for r in raw}
             out = raw + [r for r in recon if (r.oid, r.t) not in have]
             out.sort(key=lambda r: (r.t, r.oid))
@@ -432,21 +436,34 @@ class Archiver:
     ) -> list[ArchivedRecord]:
         """All archived records falling inside a cell during [t0, t1].
 
-        Scans every disk, filling pages included, but skips flushed pages
-        whose header timestamp range cannot intersect the query; follower
-        spans are reconstructed and filtered the same way.
+        Scans every disk once, filling pages included, skipping flushed
+        pages whose header timestamp range cannot intersect the query. The
+        records read serve both the raw answer and the follower spans, which
+        are reconstructed from them and filtered the same way.
         """
         with self._lock:
             if self.levels is None:
                 raise ArchiveError("region queries need a LevelConfig")
             box = spatial.decode(cell, self.levels)
             out = []
+            by_oid: dict[int, list[tuple[int, ArchivedRecord]]] = {}  # (timestamp us, record)
             for disk in self.disks:
                 for r in self._scan(disk, t0, t1):
+                    rec = ArchivedRecord(r[0], r[1] / 1e6, r[2], r[3], r[4], r[5])
+                    by_oid.setdefault(r[0], []).append((r[1], rec))
                     if box.contains((r[2], r[3]), self.levels.map_size):
-                        out.append(ArchivedRecord(r[0], r[1] / 1e6, r[2], r[3], r[4], r[5]))
+                        out.append(rec)
+            for recs in by_oid.values():
+                recs.sort(key=lambda tr: tr[0])
+
+            def leader_records(leader: int, lo: float, hi: float) -> list[ArchivedRecord]:
+                # the window test of _scan, on the records it already yielded
+                lo_us = int(round(lo * 1e6))
+                hi_us = int(round(hi * 1e6))
+                return [rec for ts, rec in by_oid.get(leader, ()) if lo_us <= ts <= hi_us]
+
             for oid in list(self._events):
-                for rec in self._reconstructed(oid, t0, t1):
+                for rec in self._reconstructed(oid, t0, t1, leader_records):
                     if box.contains((rec.x, rec.y), self.levels.map_size):
                         out.append(rec)
             out.sort(key=lambda r: (r.t, r.oid))

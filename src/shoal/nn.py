@@ -1,15 +1,25 @@
 """Nearest-neighbor search over the spatial index.
 
-nearest_leaders runs a best-first search over Hilbert cells: a min-priority
-queue of cells ordered by their minimum distance to the query point, a
-bounded result set of the closest leaders found so far, and a termination
-bound equal to the current count-th distance. Cells are read with one batch
-scan each; edge neighbors of every scanned cell are pushed once.
-
-knn expands leaders into whole schools (followers are modeled from the
-leader's extrapolated position plus their displacement) and widens the leader
-fetch until the k-th candidate provably beats every unfetched school, using
-conservative bounds on displacement magnitude and extrapolation drift.
+knn is one best-first search (Hjaltason & Samet, TODS 1999) over a single
+priority queue. Each entry is keyed by a lower bound on the squared distance
+from the query to any object it stands for at q.t:
+  cell    a quadtree cell, level 0 down to the search level l_n: the box
+          distance less the tracker's bounds for the cell (largest school
+          reach plus largest speed times the widest record-to-q.t gap).
+          Above l_n it expands into its children that hold leaders; at l_n
+          into one scan of its leader rows.
+  leader  a leader row: its recorded position less the cell's top speed
+          times the gap from the row's record time to q.t, and less its
+          school's reach. Popping it reads the leader's record.
+  school  the leader's model at q.t widened by the school's displacement
+          box. Popping it reads the followers.
+  member  an object at its modeled position: the exact squared distance,
+          computed as the brute-force oracle computes it.
+The search ends when k members have left the queue. At equal keys cells,
+leaders and schools leave before members, so ties go to the smaller id.
+Bounds that rounding could push up carry a small relative margin.
+nearest_leaders runs the same search with leader rows as the members, at
+their recorded positions.
 
 best_level picks the search cell level from local leader density: starting
 from the global-density guess, it probes the cell at the current level with
@@ -17,9 +27,6 @@ one scan and moves by the truncated half-log of the local over-target ratio,
 tightening a (min, max) window until the step converges or crosses a bound.
 cached_level memoizes the result keyed by key-level row-key intervals with a
 freshness TTL, so repeat queries in a neighborhood skip the probes entirely.
-
-Distance comparisons use squared distances with object-id tie-breaks, so
-results are deterministic and reproducible against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import math
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import spatial
@@ -38,6 +45,13 @@ from .spatial import SpatialIndex
 
 _POS = struct.Struct("<dd")
 _POS_SIZE = _POS.size
+
+# Queue entry kinds, in the order entries with equal keys leave the queue:
+# whatever may still hold a member at that distance goes before the members.
+_CELL, _LEADER, _SCHOOL, _MEMBER = range(4)
+# Relative margin off bounds whose float evaluation can round upward (hypot,
+# drift, a position an ulp outside its cell): errors some 1e-16 in size.
+_SLACK = 1e-9
 
 
 class SearchError(Exception):
@@ -76,8 +90,6 @@ class NNQuery:
 class QueryStats:
     rows_scanned: int = 0
     scans: int = 0
-    cells_popped: int = 0
-    widenings: int = 0
     flag_probes: int = 0
     cache_hit: bool = False
 
@@ -98,14 +110,6 @@ class _CacheRecord:
     created: float
 
 
-@dataclass
-class _Candidate:
-    d2: float
-    oid: int
-    x: float
-    y: float
-
-
 class Searcher:
     """Query side: exact kNN and adaptive level selection over a tracker."""
 
@@ -119,14 +123,7 @@ class Searcher:
         self.levels = tracker.levels
         cfg = flag or FlagConfig()
         if cfg.l_max > self.levels.key_level:
-            cfg = FlagConfig(
-                sigma=cfg.sigma,
-                l_min=min(cfg.l_min, self.levels.key_level),
-                l_max=self.levels.key_level,
-                delta_max=cfg.delta_max,
-                cache_ttl=cfg.cache_ttl,
-                cache_max=cfg.cache_max,
-            )
+            cfg = replace(cfg, l_min=min(cfg.l_min, self.levels.key_level), l_max=self.levels.key_level)
         self.flag = cfg
         self.clock = clock
         self._cache: list[_CacheRecord] = []
@@ -136,128 +133,115 @@ class Searcher:
         self.last_stats = QueryStats()
         self._unpack_pos = _POS.unpack
 
-    # ---------------------------------------------------------- leader search
+    # ---------------------------------------------------------------- search
 
     def nearest_leaders(
         self, loc: tuple[float, float], count: int, l_n: int, stats: QueryStats | None = None
     ) -> list[Neighbor]:
-        """Exactly the `count` leaders nearest to loc by recorded position.
+        """Exactly the `count` leaders nearest to loc by recorded position,
+        ties to the smaller id, scanning cells at level l_n."""
+        return self._search(loc[0], loc[1], None, count, l_n, stats or QueryStats())
 
-        Ties are broken by smaller object id. Returns fewer only when the
-        index holds fewer leaders. l_n sets the cell granularity of the
-        search frontier.
-        """
-        if stats is None:
-            stats = QueryStats()
-            self.last_stats = stats
-        if count <= 0:
-            return []
-        if not 0 <= l_n <= self.levels.key_level:
-            raise SearchError("level %d outside [0, %d]" % (l_n, self.levels.key_level))
-        spa = self.tracker.spa
-        if spa.row_count() == 0:
-            return []
-        qx, qy = loc
-        seed = spatial.encode(loc, l_n, self.levels)
-        frontier: list[tuple[float, int]] = [(0.0, seed.value)]
-        pushed = {seed.value}
-        # max-heap of the best `count` so far, keyed (-d2, -oid)
-        best: list[tuple[float, int, float, float]] = []
-        bound_d2 = math.inf
-        bound_oid = -1
-        while frontier:
-            dmin2, value = heapq.heappop(frontier)
-            if len(best) == count and dmin2 > bound_d2:
-                break
-            cell = SpatialIndex(l_n, value)
-            stats.cells_popped += 1
-            start, end = spatial.key_range(cell, self.levels.key_level)
-            rows = spa.scan_range(start, end)
-            stats.scans += 1
-            stats.rows_scanned += len(rows)
-            for _, cells in rows:
-                for c in cells:
-                    if c.family != "ids" or len(c.value) != _POS_SIZE:
-                        continue
-                    ox, oy = self._unpack_pos(c.value)
-                    oid = int(c.column)
-                    dx = ox - qx
-                    dy = oy - qy
-                    d2 = dx * dx + dy * dy
-                    if len(best) < count:
-                        heapq.heappush(best, (-d2, -oid, ox, oy))
-                        bound_d2 = -best[0][0]
-                        bound_oid = -best[0][1]
-                    elif (d2, oid) < (bound_d2, bound_oid):
-                        heapq.heapreplace(best, (-d2, -oid, ox, oy))
-                        bound_d2 = -best[0][0]
-                        bound_oid = -best[0][1]
-            for nbr in spatial.neighbors(cell, self.levels):
-                if nbr.value not in pushed:
-                    pushed.add(nbr.value)
-                    box = spatial.decode(nbr, self.levels)
-                    ddx = max(box.x_min - qx, 0.0, qx - box.x_max)
-                    ddy = max(box.y_min - qy, 0.0, qy - box.y_max)
-                    heapq.heappush(frontier, (ddx * ddx + ddy * ddy, nbr.value))
-        out = sorted(((-e[0], -e[1], e[2], e[3]) for e in best), key=lambda e: (e[0], e[1]))
-        return [Neighbor(oid, x, y, math.sqrt(d2)) for d2, oid, x, y in out]
-
-    # ------------------------------------------------------------------- kNN
-
-    def knn(self, q: NNQuery, l_n: int | None = None) -> list[Neighbor]:
-        """The exact k nearest objects to the query by modeled location.
-
-        Leaders are extrapolated to q.t; followers are the leader's
-        extrapolated position plus their displacement. The leader fetch is
-        widened until the k-th candidate distance provably beats the best
-        possible member of any unfetched school.
-        """
-        stats = QueryStats()
+    def knn(self, q: NNQuery, l_n: int | None = None, stats: QueryStats | None = None) -> list[Neighbor]:
+        """The exact k nearest objects to the query by modeled location at
+        q.t, ties to the smaller id. Fills `stats` (a fresh QueryStats if
+        none is given) and publishes it as last_stats on return."""
+        stats = stats or QueryStats()
+        out: list[Neighbor] = []
+        if q.k > 0:
+            level = l_n if l_n is not None else self.cached_level((q.x, q.y), stats)
+            out = self._search(q.x, q.y, q.t, q.k, level, stats)
         self.last_stats = stats
+        return out
+
+    def _search(
+        self, qx: float, qy: float, qt: float | None, k: int, level: int, stats: QueryStats
+    ) -> list[Neighbor]:
+        """The search of the module docstring, scanning cells at `level`; with
+        qt None, leader rows are members at their recorded positions."""
+        cfg = self.levels
+        if not 0 <= level <= cfg.key_level:
+            raise SearchError("level %d outside [0, %d]" % (level, cfg.key_level))
         tr = self.tracker
-        if q.k <= 0:
-            return []
-        level = l_n if l_n is not None else self.cached_level((q.x, q.y), stats)
-        fetch = max(1, math.ceil(q.k / tr.avg_school_size()))
-        total_leaders = tr.leader_count
-        while True:
-            leaders = self.nearest_leaders((q.x, q.y), fetch, level, stats)
-            exhausted = len(leaders) < fetch or len(leaders) >= total_leaders
-            cands: list[_Candidate] = []
-            for lead in leaders:
-                rec = tr.latest_record(lead.oid)
+        cell_bounds = tr.cell_bounds
+        boxes = tr.school_boxes
+        scale = cfg.map_size + abs(qx) + abs(qy)
+        heap: list[tuple] = []
+        push = heapq.heappush
+
+        def push_cell(lv: int, cx: int, cy: int) -> None:
+            a = cell_bounds[lv].get((cx << lv) | cy)
+            if a is None:  # no leader recorded in the cell
+                return
+            side = cfg.map_size / (1 << lv)
+            ddx = max(cx * side - qx, 0.0, qx - (cx + 1) * side)
+            ddy = max(cy * side - qy, 0.0, qy - (cy + 1) * side)
+            drift = a[0] * max(qt - a[1], a[2] - qt, 0.0) if qt is not None else 0.0
+            reach = a[3] if qt is not None else 0.0
+            lb = math.hypot(ddx, ddy) - reach - drift - _SLACK * (scale + reach + drift)
+            push(heap, (lb * lb if lb > 0.0 else 0.0, _CELL, lv, cx, cy, a[0] if qt is not None else 0.0))
+
+        push_cell(0, 0, 0)
+        seen: set[int] = set()
+        out: list[Neighbor] = []
+        while heap and len(out) < k:
+            entry = heapq.heappop(heap)
+            kind = entry[1]
+            if kind == _MEMBER:
+                out.append(Neighbor(entry[2], entry[3], entry[4], math.sqrt(entry[0])))
+            elif kind == _SCHOOL:
+                lx, ly = entry[3], entry[4]
+                for fid, (fdx, fdy) in tr.followers_of(entry[2]):
+                    fx, fy = lx + fdx, ly + fdy
+                    dx, dy = fx - qx, fy - qy
+                    push(heap, (dx * dx + dy * dy, _MEMBER, fid, fx, fy))
+            elif kind == _LEADER:
+                oid = entry[2]
+                rec = tr.latest_record(oid)
                 if rec is None:
                     continue
-                dt = q.t - rec.t
-                lx = rec.x + rec.vx * dt
-                ly = rec.y + rec.vy * dt
-                dx = lx - q.x
-                dy = ly - q.y
-                cands.append(_Candidate(dx * dx + dy * dy, lead.oid, lx, ly))
-                for fid, (fdx, fdy) in tr.followers_of(lead.oid):
-                    fx = lx + fdx
-                    fy = ly + fdy
-                    dx = fx - q.x
-                    dy = fy - q.y
-                    cands.append(_Candidate(dx * dx + dy * dy, fid, fx, fy))
-            cands.sort(key=lambda c: (c.d2, c.oid))
-            if exhausted:
-                chosen = cands[: q.k]
-                break
-            if len(cands) >= q.k:
-                kth = math.sqrt(cands[q.k - 1].d2)
-                r_l = leaders[-1].dist
-                # worst-case distance between an unfetched leader's recorded
-                # and modeled member positions: displacement plus drift over
-                # the largest possible record-to-query time gap
-                horizon = max(0.0, q.t - tr.min_live_leader_t(), tr.max_record_t - q.t)
-                bound = tr.max_abs_disp + tr.max_speed * horizon
-                if kth < r_l - bound:
-                    chosen = cands[: q.k]
-                    break
-            fetch *= 2
-            stats.widenings += 1
-        return [Neighbor(c.oid, c.x, c.y, math.sqrt(c.d2)) for c in chosen]
+                dt = qt - rec.t
+                lx, ly = rec.x + rec.vx * dt, rec.y + rec.vy * dt
+                dx, dy = lx - qx, ly - qy
+                push(heap, (dx * dx + dy * dy, _MEMBER, oid, lx, ly))
+                box = boxes.get(oid)
+                if box is not None:
+                    # float rounding is monotone, so this is at most the
+                    # squared distance of every member as computed above
+                    ddx = max(lx + box[0] - qx, 0.0, qx - (lx + box[2]))
+                    ddy = max(ly + box[1] - qy, 0.0, qy - (ly + box[3]))
+                    push(heap, (ddx * ddx + ddy * ddy, _SCHOOL, oid, lx, ly))
+            else:
+                lv, cx, cy, speed = entry[2:]
+                if lv < level:
+                    for i in range(4):
+                        push_cell(lv + 1, 2 * cx + (i >> 1), 2 * cy + (i & 1))
+                    continue
+                cell = SpatialIndex(lv, spatial.encode_cell(cx, cy, lv))
+                rows = tr.spa.scan_range(*spatial.key_range(cell, cfg.key_level))
+                stats.scans += 1
+                stats.rows_scanned += len(rows)
+                for _, cells in rows:
+                    for c in cells:
+                        if c.family != "ids" or len(c.value) != _POS_SIZE:
+                            continue
+                        oid = int(c.column)
+                        if oid in seen:
+                            continue
+                        seen.add(oid)
+                        ox, oy = self._unpack_pos(c.value)
+                        if qt is None:
+                            dx, dy = ox - qx, oy - qy
+                            push(heap, (dx * dx + dy * dy, _MEMBER, oid, ox, oy))
+                            continue
+                        # the recorded position, less the drift since the
+                        # row's record time at the cell's top speed and the
+                        # reach of this school
+                        box = boxes.get(oid)
+                        spread = speed * abs(qt - c.timestamp / 1e6) + (box[4] if box is not None else 0.0)
+                        lb = math.hypot(ox - qx, oy - qy) - spread - _SLACK * (scale + spread)
+                        push(heap, (lb * lb if lb > 0.0 else 0.0, _LEADER, oid))
+        return out
 
     # ------------------------------------------------------- level selection
 

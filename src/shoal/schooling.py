@@ -17,15 +17,25 @@ Tables used:
   affiliation  row = object id; lf/status holds the leader-or-follower record,
                finfo/<follower id> holds that follower's displacement
 
+Search bounds, in memory and derived from the tables:
+  school_boxes  leader id -> [min dx, min dy, max dx, max dy, reach] over the
+                follower displacements and the leader's (0, 0), reach being
+                the farthest corner; only leaders with followers have one.
+  cell_bounds   per level 0..key_level, cell (cx << level | cy) -> [max speed,
+                min record t, max record t rounded up to a whole second, max
+                reach] over the leaders recorded in the cell or below it.
+Leader writes and merges only widen them; reclustering recomputes both for
+its clustering cell, shedding what promotions and moves left loose.
+
 Concurrency: updates for distinct ids may run on different threads. All
-mutating paths serialize on one affiliation lock; the shed path takes no lock.
+mutating paths, the bounds included, serialize on one affiliation lock; the
+shed path takes no lock.
 Reclustering holds one clustering cell exclusively: updates that would write
 into that cell wait until the pass ends, updates elsewhere are never blocked.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 import threading
@@ -155,6 +165,13 @@ def hexagon_bin(vx: float, vy: float, delta_m: float) -> tuple[int, int]:
     return int(rx), int(rz)
 
 
+def _box(disps: list[tuple[float, float]]) -> list[float]:
+    """The school box (module docstring) over these and the leader's (0, 0)."""
+    dxs, dys = zip((0.0, 0.0), *disps)
+    x0, y0, x1, y1 = min(dxs), min(dys), max(dxs), max(dys)
+    return [x0, y0, x1, y1, math.hypot(max(-x0, x1), max(-y0, y1))]
+
+
 def pack_location(x: float, y: float, vx: float, vy: float) -> bytes:
     return _LOC.pack(x, y, vx, vy)
 
@@ -207,12 +224,9 @@ class Tracker:
         self.rejected = 0
         self.leader_count = 0
         self.object_count = 0
-        # conservative bounds used by the search layer (grow-only / safe-low)
-        self.max_abs_disp = 0.0
-        self.max_speed = 0.0
-        self.min_record_t = math.inf
-        self.max_record_t = -math.inf
-        self._t_heap: list[tuple[float, int]] = []  # (record t, oid) per location put
+        # bounds read by the search layer (see the module docstring)
+        self.school_boxes: dict[int, list[float]] = {}
+        self.cell_bounds: list[dict[int, list[float]]] = [{} for _ in range(levels.key_level + 1)]
         # clustering scheduler state
         self._sweep_pos = 0
         self._sweep_t0: float | None = None
@@ -275,11 +289,6 @@ class Tracker:
     def school_count(self) -> int:
         return self.leader_count
 
-    def avg_school_size(self) -> float:
-        if self.leader_count == 0:
-            return 1.0
-        return max(1.0, self.object_count / self.leader_count)
-
     # ------------------------------------------------- clustering-cell guards
 
     def _cluster_cell_of(self, x: float, y: float) -> int:
@@ -304,55 +313,43 @@ class Tracker:
 
     # ---------------------------------------------------------------- updates
 
-    def _note_record(self, oid: int, t: float, vx: float, vy: float) -> None:
-        sp = math.hypot(vx, vy)
-        if sp > self.max_speed:
-            self.max_speed = sp
-        if t < self.min_record_t:
-            self.min_record_t = t
-        if t > self.max_record_t:
-            self.max_record_t = t
-        # stored record times are microsecond-quantized; track the same value
-        heapq.heappush(self._t_heap, (_us(t) / 1e6, oid))
-        if len(self._t_heap) > max(1024, 4 * max(1, self.object_count)):
-            self._rebuild_t_heap()
+    def _raise_cells(self, oid: int, r: UpdateMessage | LocationRecord, bounds: list | None = None) -> None:
+        """Make leader oid's cell and its ancestors in bounds (or cell_bounds) cover
+        the record and the school's reach, up to a cell that does: its ancestors do too."""
+        box = self.school_boxes.get(oid)
+        reach = box[4] if box else 0.0
+        speed = math.hypot(r.vx, r.vy)
+        t = round(r.t * 1e6) / 1e6  # the record time as the location table returns it
+        t_hi = float(math.ceil(t))
+        level = self.levels.key_level
+        n = 1 << level  # the key-level cell, as spatial.grid_coord finds it
+        cx = min(int(r.x * n / self.levels.map_size), n - 1)
+        cy = min(int(r.y * n / self.levels.map_size), n - 1)
+        for aggs in reversed(bounds or self.cell_bounds):
+            key = (cx << level) | cy
+            a = aggs.get(key)
+            if a is None:
+                aggs[key] = [speed, t, t_hi, reach]
+            elif speed <= a[0] and a[1] <= t and t_hi <= a[2] and reach <= a[3]:
+                return
+            else:
+                a[0], a[3] = (speed if speed > a[0] else a[0]), (reach if reach > a[3] else a[3])
+                a[1], a[2] = (t if t < a[1] else a[1]), (t_hi if t_hi > a[2] else a[2])
+            level, cx, cy = level - 1, cx >> 1, cy >> 1
 
-    def _rebuild_t_heap(self) -> None:
-        fresh: list[tuple[float, int]] = []
-        seen: set[int] = set()
-        for t, oid in self._t_heap:
-            if oid in seen:
-                continue
-            seen.add(oid)
-            rec = self.latest_record(oid)
-            if rec is not None:
-                fresh.append((rec.t, oid))
-        heapq.heapify(fresh)
-        self._t_heap = fresh
-
-    def min_live_leader_t(self) -> float:
-        """Oldest latest-record time among current leaders (inf if none).
-
-        Lazily discards heap entries superseded by newer records or belonging
-        to objects that are no longer leaders.
-        """
-        while self._t_heap:
-            t, oid = self._t_heap[0]
-            rec = self.latest_record(oid)
-            if rec is None or rec.t != t:
-                heapq.heappop(self._t_heap)
-                continue
-            a = self.affiliation_of(oid)
-            if a is None or not a.is_leader:
-                heapq.heappop(self._t_heap)
-                continue
-            return t
-        return math.inf
-
-    def _note_disp(self, dx: float, dy: float) -> None:
-        d = math.hypot(dx, dy)
-        if d > self.max_abs_disp:
-            self.max_abs_disp = d
+    def _tighten_cells(self, cell: SpatialIndex, leaders: list[tuple[int, LocationRecord]]) -> None:
+        """Recompute the bounds inside a clustering cell; its ancestors keep theirs.
+        A search meanwhile finds each occupied cell's old or new entry."""
+        fresh: list[dict[int, list[float]]] = [{} for _ in self.cell_bounds]
+        for oid, rec in leaders:
+            self._raise_cells(oid, rec, fresh)
+        top = cell.level
+        ccx, ccy = spatial.decode_cell(cell.value, top)
+        for level, aggs in enumerate(self.cell_bounds[top:], top):
+            s, m, new = level - top, (1 << level) - 1, fresh[level]  # cell (cx, cy) lies in (cx >> s, cy >> s)
+            for key in [k for k in aggs if k not in new and (k >> (level + s), (k & m) >> s) == (ccx, ccy)]:
+                del aggs[key]
+            aggs.update(new)
 
     def _write_leader_status(self, oid: int, since: float) -> None:
         val = _STATUS.pack(_LEADER, oid, 0.0, 0.0, since)
@@ -361,7 +358,6 @@ class Tracker:
     def _write_follower_status(self, oid: int, leader_id: int, disp: tuple[float, float], since: float) -> None:
         val = _STATUS.pack(_FOLLOWER, leader_id, disp[0], disp[1], since)
         self.aff.put(_id_key(oid), "lf", "status", val, _us(since))
-        self._note_disp(*disp)
 
     def _spatial_put(self, oid: int, x: float, y: float, t: float) -> None:
         # One row per leader: cell key + "." + id. "." sorts below "0", so
@@ -396,16 +392,16 @@ class Tracker:
         self.updates += 1
         a = self.affiliation_of(msg.oid)
         if a is not None and not a.is_leader:
+            # no record: a merge absorbed the leader since the read above; the locked path retests
             rec = self.latest_record(a.leader_id)
-            if rec is None:
-                raise AffiliationError("follower %d has leader %d with no location" % (msg.oid, a.leader_id))
-            dt = msg.t - rec.t
-            ex = rec.x + rec.vx * dt + a.disp[0]
-            ey = rec.y + rec.vy * dt + a.disp[1]
-            if math.hypot(ex - msg.x, ey - msg.y) <= self.cfg.epsilon:
-                self.sheds += 1
-                self._last_t[msg.oid] = msg.t
-                return UpdateOutcome(Outcome.SHED, 0)
+            if rec is not None:
+                dt = msg.t - rec.t
+                ex = rec.x + rec.vx * dt + a.disp[0]
+                ey = rec.y + rec.vy * dt + a.disp[1]
+                if math.hypot(ex - msg.x, ey - msg.y) <= self.cfg.epsilon:
+                    self.sheds += 1
+                    self._last_t[msg.oid] = msg.t
+                    return UpdateOutcome(Outcome.SHED, 0)
         # a write is needed: reserve the clustering cells we may touch
         cells = {self._cluster_cell_of(msg.x, msg.y)}
         if a is not None and a.is_leader:
@@ -434,7 +430,7 @@ class Tracker:
         self.leader_count += 1
         self.object_count += 1
         self.registrations += 1
-        self._note_record(msg.oid, msg.t, msg.vx, msg.vy)
+        self._raise_cells(msg.oid, msg)
         if self.archive is not None:
             self.archive.record_leader(msg.oid, msg.t)
         return UpdateOutcome(Outcome.PROMOTED, 3)
@@ -449,7 +445,7 @@ class Tracker:
         self._spatial_put(msg.oid, msg.x, msg.y, msg.t)
         writes += 1
         self.leader_updates += 1
-        self._note_record(msg.oid, msg.t, msg.vx, msg.vy)
+        self._raise_cells(msg.oid, msg)
         return UpdateOutcome(Outcome.LEADER_UPDATED, writes)
 
     def _promote_locked(self, msg: UpdateMessage, a: Affiliation) -> UpdateOutcome:
@@ -469,7 +465,7 @@ class Tracker:
         self._spatial_put(msg.oid, msg.x, msg.y, msg.t)
         self.leader_count += 1
         self.promotions += 1
-        self._note_record(msg.oid, msg.t, msg.vx, msg.vy)
+        self._raise_cells(msg.oid, msg)
         if self.archive is not None:
             self.archive.record_leader(msg.oid, msg.t)
         return UpdateOutcome(Outcome.PROMOTED, 4)
@@ -502,16 +498,23 @@ class Tracker:
                 return False
             ix, iy = self._extrapolate(rec_i, t_m)
             jx, jy = self._extrapolate(rec_j, t_m)
+            old = self.school_boxes.get(survivor)
+            moved = [(old[0], old[1]), (old[2], old[3])] if old else []  # the old box's corners
             for fid, (fdx, fdy) in self.followers_of(absorbed):
                 ndx, ndy = jx + fdx - ix, jy + fdy - iy
                 self._write_follower_status(fid, survivor, (ndx, ndy), t_m)
                 self.aff.put(_id_key(survivor), "finfo", str(fid), _POS.pack(ndx, ndy), _us(t_m))
+                moved.append((ndx, ndy))
                 if self.archive is not None:
                     self.archive.record_follower(fid, survivor, (ndx, ndy), t_m)
             self.aff.delete(_id_key(absorbed), "finfo")
             jdx, jdy = jx - ix, jy - iy
             self._write_follower_status(absorbed, survivor, (jdx, jdy), t_m)
             self.aff.put(_id_key(survivor), "finfo", str(absorbed), _POS.pack(jdx, jdy), _us(t_m))
+            moved.append((jdx, jdy))
+            self.school_boxes[survivor] = _box(moved)
+            self.school_boxes.pop(absorbed, None)
+            self._raise_cells(survivor, rec_i)
             self._spatial_delete(absorbed, rec_j.x, rec_j.y)
             # the absorbed leader's own trajectory is history now; archive it
             hist = sorted(
@@ -548,19 +551,22 @@ class Tracker:
         try:
             t0 = time.perf_counter()
             start, end = spatial.key_range(cell, self.levels.key_level)
-            leaders: list[tuple[int, LocationRecord, int]] = []  # id, record, follower count
+            leaders: list[tuple[int, LocationRecord, int, list[float] | None]] = []
+            placed: list[tuple[int, LocationRecord]] = []  # every leader row, for the bounds
             for _, cells in self.spa.scan_range(start, end):
                 for c in cells:
                     if c.family != "ids":
                         continue
                     oid = int(c.column)
                     rec = self.latest_record(oid)
+                    # no live record: no kNN answer, but nearest_leaders still finds the row
+                    placed.append((oid, rec or LocationRecord(c.timestamp / 1e6, *_POS.unpack(c.value), 0.0, 0.0)))
                     if rec is None:
                         continue
-                    nf = sum(1 for rc in self.aff.get_row(_id_key(oid)) if rc.family == "finfo")
-                    leaders.append((oid, rec, nf))
+                    disps = [_POS.unpack(rc.value) for rc in self.aff.get_row(_id_key(oid)) if rc.family == "finfo"]
+                    leaders.append((oid, rec, len(disps), _box(disps) if disps else None))
             t1 = time.perf_counter()
-            bins: dict[tuple[int, int], list[tuple[int, LocationRecord, int]]] = {}
+            bins: dict[tuple[int, int], list[tuple[int, LocationRecord, int, list[float] | None]]] = {}
             for entry in leaders:
                 b = hexagon_bin(entry[1].vx, entry[1].vy, self.cfg.delta_m)
                 bins.setdefault(b, []).append(entry)
@@ -572,16 +578,26 @@ class Tracker:
                 survivor = group[0][0]
                 plans.append((survivor, [e[0] for e in group[1:]]))
             t2 = time.perf_counter()
-            merged = 0
+            # no update writes into the cell during the pass, so the boxes
+            # read above are exact up to promotions, which only shrink them
+            with self._aff_lock:
+                for oid, _, _, box in leaders:
+                    if box is None:
+                        self.school_boxes.pop(oid, None)
+                    else:
+                        self.school_boxes[oid] = box
+            gone: set[int] = set()
             for survivor, absorbed in plans:
                 for j in absorbed:
                     if self.merge_schools(survivor, j, now):
-                        merged += 1
+                        gone.add(j)
+            with self._aff_lock:
+                self._tighten_cells(cell, [p for p in placed if p[0] not in gone])
             t3 = time.perf_counter()
             return MergeStats(
                 cell=cell,
                 leaders_before=len(leaders),
-                leaders_after=len(leaders) - merged,
+                leaders_after=len(leaders) - len(gone),
                 read_time=t1 - t0,
                 compute_time=t2 - t1,
                 write_time=t3 - t2,

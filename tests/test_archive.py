@@ -244,6 +244,25 @@ class TestHistory:
         assert a.pages_skipped > skipped_before  # batch-two pages pruned by time
         a.close()
 
+    def test_region_query_reads_each_page_once(self, tmp_path):
+        p = DiskModelParams(s_B=384.0)  # 4-record pages
+        a = Archiver(p, n_d=2, directory=str(tmp_path), levels=LEVELS)
+        for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+            a.append(1, rec(t, 100.0 + t, 200.0))
+        for f in (2, 3, 4):  # three followers of 1 from t=2 on
+            a.record_leader(f, 0.5)
+            a.record_follower(f, 1, (0.0, float(f)), 2.0)
+        a.drain()
+        pages = sum(1 for d in a.disks for m in d.meta if m.count)
+        before = a.pages_scanned
+        got = a.query_history_by_region(spatial.encode((100.0, 200.0), 3, LEVELS), 0.0, 10.0)
+        assert a.pages_scanned - before == pages
+        assert [r.t for r in got if r.oid == 1] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert sorted((r.oid, r.t, r.y) for r in got if r.reconstructed) == [
+            (f, t, 200.0 + f) for f in (2, 3, 4) for t in (3.0, 4.0, 5.0, 6.0)
+        ]
+        a.close()
+
     def test_filling_page_records_answer_before_drain(self, tmp_path):
         # default pages hold 250,000 records, so nothing is flushed yet
         a = Archiver(DiskModelParams(), n_d=2, directory=str(tmp_path), levels=LEVELS)

@@ -152,16 +152,84 @@ class TestKnn:
         put(tr, 1, 0.0, 5.0, 5.0)
         assert s.knn(NNQuery(1.0, 1.0, 0.0, 0)) == []
 
-    def test_fetch_widens_until_kth_beats_the_frontier(self, tmp_path):
+    def test_far_leader_with_the_nearest_follower(self, tmp_path):
         _, tr = make_tracker(tmp_path)
-        # stationary singleton schools at distinct distances: the first pass
-        # fetches exactly k leaders, whose k-th cannot beat its own radius
-        for d in range(1, 21):
-            put(tr, d, 0.0, 500.0 + d, 500.0)
+        # leader 1 sits 400 units away, its follower 2 right at the query;
+        # nine singleton leaders lie between 10 and 90 units away
+        put(tr, 1, 0.0, 900.0, 500.0)
+        put(tr, 2, 0.0, 500.0, 501.0)
+        assert tr.merge_schools(1, 2, 0.0)
+        for i in range(9):
+            put(tr, 10 + i, 0.0, 500.0 + 10.0 * (i + 1), 500.0)
         s = Searcher(tr)
-        got = s.knn(NNQuery(500.0, 500.0, 0.0, 5), l_n=4)
-        assert [n.oid for n in got] == [1, 2, 3, 4, 5]
-        assert s.last_stats.widenings == 1
+        q = NNQuery(500.0, 500.0, 0.0, 3)
+        for level in range(LEVELS.key_level + 1):
+            got = s.knn(q, l_n=level)
+            assert [n.oid for n in got] == [2, 10, 11]
+            assert [n.oid for n in got] == [oid for _, oid, _, _ in brute_knn(tr, q)]
+
+    def test_school_out_of_reach_is_never_expanded(self, tmp_path):
+        _, tr = make_tracker(tmp_path)
+        # a 40-member school around (200, 200) and ten singletons near the
+        # query at (800, 800)
+        put(tr, 1, 0.0, 200.0, 200.0)
+        for oid in range(2, 42):
+            put(tr, oid, 0.0, 200.0 + (oid % 7), 200.0 - (oid % 5))
+            assert tr.merge_schools(1, oid, 0.0)
+        for i in range(10):
+            put(tr, 100 + i, 0.0, 800.0 + i, 800.0)
+        calls = []
+        followers_of = tr.followers_of
+        tr.followers_of = lambda oid: calls.append(oid) or followers_of(oid)
+        s = Searcher(tr)
+        for level in (None, 0, 1, 4, 8):
+            got = s.knn(NNQuery(800.0, 800.0, 0.0, 10), l_n=level)
+            assert [n.oid for n in got] == list(range(100, 110))
+        assert calls == []
+        # a query inside the school's reach does expand it
+        got = s.knn(NNQuery(203.0, 198.0, 0.0, 10), l_n=4)
+        assert calls == [1]
+        assert [n.oid for n in got] == [oid for _, oid, _, _ in brute_knn(tr, NNQuery(203.0, 198.0, 0.0, 10))]
+
+    def test_exact_after_merges_promotions_and_moves(self, tmp_path):
+        rng = random.Random(41)
+        _, tr = make_tracker(tmp_path)
+        n = seed_schools(tr, rng, n_leaders=30, followers_per=3)
+        for _ in range(25):  # merge random schools into one another
+            leaders = sorted(o for o in range(n) if tr.affiliation_of(o).is_leader)
+            a, b = rng.sample(leaders, 2)
+            assert tr.merge_schools(a, b, 1.0)
+        # promotions leave the old leaders' boxes loose
+        followers = [o for o in range(n) if not tr.affiliation_of(o).is_leader]
+        for oid in rng.sample(followers, 15):
+            put(tr, oid, 2.0, rng.uniform(1, 999), rng.uniform(1, 999), rng.uniform(-3, 3), rng.uniform(-3, 3))
+        # leaders move across cells, fast and slow
+        leaders = [o for o in range(n) if tr.affiliation_of(o).is_leader]
+        for oid in rng.sample(leaders, len(leaders) // 2):
+            put(tr, oid, 3.0, rng.uniform(1, 999), rng.uniform(1, 999), rng.uniform(-8, 8), rng.uniform(-8, 8))
+        tr.check_consistency()
+        s = Searcher(tr, FlagConfig(sigma=4.0))
+        for _ in range(60):
+            q = NNQuery(rng.uniform(0, 1000), rng.uniform(0, 1000),
+                        rng.choice([-5.0, 0.0, 1.5, 3.0, 4.0, 20.0]), rng.choice([1, 4, 10, 30]))
+            got = s.knn(q, l_n=rng.choice([None, 0, 2, 5, 8]))
+            want = brute_knn(tr, q)
+            assert [n.oid for n in got] == [oid for _, oid, _, _ in want]
+            for n, (d2, _, x, y) in zip(got, want):
+                assert (n.x, n.y) == (x, y)
+                assert math.isclose(n.dist, math.sqrt(d2))
+
+    def test_stats_are_per_query(self, tmp_path):
+        _, tr = make_tracker(tmp_path)
+        grid_population(tr)
+        s = Searcher(tr)
+        mine = QueryStats()
+        s.knn(NNQuery(300.0, 300.0, 0.0, 5), l_n=3, stats=mine)
+        assert s.last_stats is mine
+        assert mine.rows_scanned > 0 and mine.scans > 0
+        s.knn(NNQuery(300.0, 300.0, 0.0, 5), l_n=3)
+        assert s.last_stats is not mine
+        assert s.last_stats.rows_scanned == mine.rows_scanned
 
 
 def grid_population(tr):

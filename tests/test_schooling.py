@@ -161,6 +161,31 @@ class TestUpdateProcedure:
         with pytest.raises(StaleUpdateError):
             tr.process_update(msg(2, 2.0, 102.0, 103.0, 1.0, 0.0))
 
+    def test_shed_survives_a_merge_between_its_reads(self, tmp_path):
+        _, tr = make_tracker(tmp_path, epsilon=5.0)
+        tr.process_update(msg(1, 0.0, 100.0, 100.0, 1.0, 0.0))
+        tr.process_update(msg(3, 0.0, 100.0, 110.0, 1.0, 0.0))
+        tr.process_update(msg(2, 0.0, 100.0, 113.0, 1.0, 0.0))
+        assert tr.merge_schools(3, 2, 0.0)
+        # the shed path reads follower 2's affiliation (leader 3), then a
+        # merge absorbs leader 3 before the path reads 3's record
+        affiliation_of = tr.affiliation_of
+        hooked = []
+
+        def racing(oid):
+            a = affiliation_of(oid)
+            if not hooked:
+                hooked.append(oid)
+                assert tr.merge_schools(1, 3, 0.0)
+            return a
+
+        tr.affiliation_of = racing
+        out = tr.process_update(msg(2, 2.0, 102.5, 113.2, 1.0, 0.0))
+        assert hooked == [2]
+        assert out.kind is Outcome.SHED and out.writes == 0
+        assert tr.affiliation_of(2) == Affiliation(False, 1, (0.0, 13.0), 0.0)
+        tr.check_consistency()
+
     def test_school_size_accounting(self, tmp_path):
         _, tr = make_tracker(tmp_path)
         for oid in (1, 2, 3):
@@ -168,7 +193,6 @@ class TestUpdateProcedure:
         tr.merge_schools(1, 2, 0.0)
         tr.merge_schools(1, 3, 0.0)
         assert tr.school_count() == 1
-        assert tr.avg_school_size() == 3.0
         assert tr.object_count == 3
 
 
@@ -290,30 +314,75 @@ class TestSweepSchedule:
         assert tr.clustering_tick(100.0) == []
 
 
-class TestBoundsAndHeap:
-    def test_min_live_leader_t_skips_superseded_and_absorbed(self, tmp_path):
-        _, tr = make_tracker(tmp_path)
-        tr.process_update(msg(1, 1.0, 100.0, 100.0))
-        tr.process_update(msg(2, 2.0, 200.0, 100.0))
-        tr.process_update(msg(3, 3.0, 201.0, 100.0))
-        assert tr.min_live_leader_t() == 1.0
-        tr.process_update(msg(1, 10.0, 100.0, 101.0))
-        assert tr.min_live_leader_t() == 2.0
-        tr.merge_schools(3, 2, 3.0)
-        assert tr.min_live_leader_t() == 3.0
+class TestSearchBounds:
+    def cell_bound(self, tr, x, y, level=LEVELS.key_level):
+        cx, cy = spatial.grid_coord((x, y), level, LEVELS)
+        return tr.cell_bounds[level].get((cx << level) | cy)
 
-    def test_min_live_leader_t_empty(self, tmp_path):
-        _, tr = make_tracker(tmp_path)
-        assert tr.min_live_leader_t() == math.inf
-
-    def test_speed_and_displacement_bounds(self, tmp_path):
+    def test_merge_widens_the_survivor_box_and_drops_the_absorbed(self, tmp_path):
         _, tr = make_tracker(tmp_path)
         tr.process_update(msg(1, 0.0, 100.0, 100.0, 3.0, 4.0))
-        assert tr.max_speed == 5.0
-        tr.process_update(msg(2, 0.0, 103.0, 104.0, 3.0, 4.0))
-        tr.merge_schools(1, 2, 0.0)
-        assert tr.max_abs_disp == 5.0
-        assert (tr.min_record_t, tr.max_record_t) == (0.0, 0.0)
+        assert tr.school_boxes == {}
+        assert self.cell_bound(tr, 100.0, 100.0) == [5.0, 0.0, 0.0, 0.0]
+        tr.process_update(msg(2, 0.0, 97.0, 104.0, 3.0, 4.0))
+        tr.process_update(msg(3, 0.0, 90.0, 90.0, 3.0, 4.0))
+        assert tr.merge_schools(2, 3, 0.0)
+        assert tr.school_boxes == {2: [-7.0, -14.0, 0.0, 0.0, math.hypot(7.0, 14.0)]}
+        assert tr.merge_schools(1, 2, 0.0)
+        assert tr.school_boxes == {1: [-10.0, -10.0, 0.0, 4.0, math.hypot(10.0, 10.0)]}
+        # the survivor's cell and every ancestor cover the new reach; they
+        # still hold the wider reach 2's school had: bounds only grow here
+        for level in range(LEVELS.key_level + 1):
+            assert self.cell_bound(tr, 100.0, 100.0, level)[3] == math.hypot(7.0, 14.0)
+
+    def test_leader_writes_raise_speed_and_record_times(self, tmp_path):
+        _, tr = make_tracker(tmp_path)
+        tr.process_update(msg(1, 2.0, 100.0, 100.0, 1.0, 0.0))
+        tr.process_update(msg(1, 3.5, 101.0, 100.0, 0.0, 6.0))
+        assert self.cell_bound(tr, 100.0, 100.0) == [6.0, 2.0, 4.0, 0.0]
+        assert self.cell_bound(tr, 100.0, 100.0, 0) == [6.0, 2.0, 4.0, 0.0]
+
+    def test_recluster_tightens_after_promotions_and_moves(self, tmp_path):
+        _, tr = make_tracker(tmp_path, epsilon=5.0)
+        tr.process_update(msg(1, 0.0, 100.0, 100.0, 1.0, 0.0))
+        tr.process_update(msg(2, 0.0, 100.0, 130.0, 1.0, 0.0))
+        tr.process_update(msg(3, 0.0, 600.0, 600.0, 9.0, 0.0))
+        assert tr.merge_schools(1, 2, 0.0)
+        assert tr.school_boxes[1][4] == 30.0
+        tr.process_update(msg(2, 1.0, 300.0, 300.0, 0.0, 1.0))  # promoted
+        tr.process_update(msg(3, 1.0, 100.0, 900.0, 0.0, 1.0))  # moves cells
+        assert tr.school_boxes[1][4] == 30.0  # loose until reclustering
+        assert self.cell_bound(tr, 600.0, 600.0) is not None
+        for value in range(4):
+            tr.recluster_cell(SpatialIndex(LEVELS.cluster_level, value), 1.0)
+        assert tr.school_boxes == {}
+        assert self.cell_bound(tr, 600.0, 600.0) is None
+        assert self.cell_bound(tr, 100.0, 100.0) == [1.0, 0.0, 0.0, 0.0]
+        # the clustering cell [0, 500)^2 also holds leader 2, recorded at t=1
+        assert self.cell_bound(tr, 100.0, 100.0, LEVELS.cluster_level) == [1.0, 0.0, 1.0, 0.0]
+        # cells above the clustering level span several clustering cells
+        # and keep what they have covered
+        assert self.cell_bound(tr, 100.0, 100.0, 0) == [9.0, 0.0, 1.0, 30.0]
+
+    def test_recluster_drops_only_emptied_cells(self, tmp_path):
+        _, tr = make_tracker(tmp_path)
+        tr.process_update(msg(1, 0.0, 100.0, 100.0, 1.0, 0.0))
+        tr.process_update(msg(2, 0.0, 300.0, 300.0, 0.0, 5.0))
+        tr.process_update(msg(2, 1.0, 320.0, 300.0, 0.0, 5.0))  # next cell at levels 4 and 5
+        deleted = []
+
+        class Spy(dict):
+            def __delitem__(self, key):
+                deleted.append(key)
+                super().__delitem__(key)
+
+        tr.cell_bounds = [Spy(d) for d in tr.cell_bounds]
+        tr.recluster_cell(SpatialIndex(LEVELS.cluster_level, spatial.encode_cell(0, 0, LEVELS.cluster_level)), 1.0)
+        # occupied cells are replaced in place, so a search running meanwhile
+        # never misses one; only the cells leader 2 left are deleted
+        assert deleted == [(4 << 4) | 4, (9 << 5) | 9]
+        assert self.cell_bound(tr, 320.0, 300.0) == [5.0, 1.0, 1.0, 0.0]
+        assert self.cell_bound(tr, 100.0, 100.0) == [1.0, 0.0, 0.0, 0.0]
 
 
 class TestConsistency:
