@@ -70,15 +70,19 @@ class Engine:
 
         Returns the MergeStats of the clustering passes that ran.
         """
+        tracker = self.tracker
         stats = []
+        # a tick before next_cluster_t would find no cell due: skip the call
         while self._next_age <= t:
             self.now = self._next_age
-            stats.extend(self.tracker.clustering_tick(self.now))
+            if self.now >= tracker.next_cluster_t:
+                stats.extend(tracker.clustering_tick(self.now))
             self.store.age_tick(int(self.now * 1e6))
             self._next_age += self.cfg.age_interval
         if t > self.now:
             self.now = t
-        stats.extend(self.tracker.clustering_tick(self.now))
+        if self.now >= tracker.next_cluster_t:
+            stats.extend(tracker.clustering_tick(self.now))
         return stats
 
     def query(self, x: float, y: float, k: int, t: float | None = None) -> list[Neighbor]:

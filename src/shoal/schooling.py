@@ -16,6 +16,9 @@ Tables used:
                prefix-scannable by cell), column ids/<id>, value = packed (x, y)
   affiliation  row = object id; lf/status holds the leader-or-follower record,
                finfo/<follower id> holds that follower's displacement
+Spatial and affiliation are current-state tables (see store.py): a put
+replaces the column's cell, so each holds one cell per leader, status or
+follower. Location keeps every record until it ages into the archive.
 
 Search bounds, in memory and derived from the tables:
   school_boxes  leader id -> [min dx, min dy, max dx, max dy, reach] over the
@@ -92,6 +95,9 @@ class UpdateMessage:
 class UpdateOutcome:
     kind: Outcome
     writes: int  # store puts + deletes performed for this update
+
+
+_SHED = UpdateOutcome(Outcome.SHED, 0)
 
 
 @dataclass(frozen=True)
@@ -214,6 +220,7 @@ class Tracker:
         self._cluster_cond = threading.Condition()
         self._active_cell: int | None = None
         self._inflight: dict[int, int] = {}  # cluster cell value -> writers inside
+        self._cluster_shift = 2 * (levels.key_level - levels.cluster_level)  # key cell -> cluster cell
         # counters
         self.updates = 0
         self.sheds = 0
@@ -231,6 +238,8 @@ class Tracker:
         self._sweep_pos = 0
         self._sweep_t0: float | None = None
         self._sweep_done = 0
+        # the earliest time at which clustering_tick has a cell to recluster
+        self.next_cluster_t = math.inf if math.isinf(cfg.cluster_period) else -math.inf
 
     # ------------------------------------------------------------------ reads
 
@@ -291,8 +300,15 @@ class Tracker:
 
     # ------------------------------------------------- clustering-cell guards
 
-    def _cluster_cell_of(self, x: float, y: float) -> int:
-        return spatial.encode((x, y), self.levels.cluster_level, self.levels).value
+    def _key_cell(self, x: float, y: float) -> tuple[int, int, int]:
+        """Grid coordinates and curve index of the point's key-level cell.
+
+        Raises ValueError for a point off the map. The clustering cell is the
+        curve index shifted right by _cluster_shift.
+        """
+        level = self.levels.key_level
+        cx, cy = spatial.grid_coord((x, y), level, self.levels)
+        return cx, cy, spatial.encode_cell(cx, cy, level)
 
     def _enter_cells(self, cells: set[int]) -> None:
         with self._cluster_cond:
@@ -313,18 +329,18 @@ class Tracker:
 
     # ---------------------------------------------------------------- updates
 
-    def _raise_cells(self, oid: int, r: UpdateMessage | LocationRecord, bounds: list | None = None) -> None:
-        """Make leader oid's cell and its ancestors in bounds (or cell_bounds) cover
-        the record and the school's reach, up to a cell that does: its ancestors do too."""
+    def _raise_cells(
+        self, oid: int, r: UpdateMessage | LocationRecord, cx: int, cy: int, bounds: list | None = None
+    ) -> None:
+        """Make leader oid's key-level cell (cx, cy) and its ancestors in bounds (or
+        cell_bounds) cover the record and the school's reach, up to a cell that
+        does: its ancestors do too."""
         box = self.school_boxes.get(oid)
         reach = box[4] if box else 0.0
         speed = math.hypot(r.vx, r.vy)
         t = round(r.t * 1e6) / 1e6  # the record time as the location table returns it
         t_hi = float(math.ceil(t))
         level = self.levels.key_level
-        n = 1 << level  # the key-level cell, as spatial.grid_coord finds it
-        cx = min(int(r.x * n / self.levels.map_size), n - 1)
-        cy = min(int(r.y * n / self.levels.map_size), n - 1)
         for aggs in reversed(bounds or self.cell_bounds):
             key = (cx << level) | cy
             a = aggs.get(key)
@@ -342,7 +358,7 @@ class Tracker:
         A search meanwhile finds each occupied cell's old or new entry."""
         fresh: list[dict[int, list[float]]] = [{} for _ in self.cell_bounds]
         for oid, rec in leaders:
-            self._raise_cells(oid, rec, fresh)
+            self._raise_cells(oid, rec, *spatial.grid_coord((rec.x, rec.y), self.levels.key_level, self.levels), fresh)
         top = cell.level
         ccx, ccy = spatial.decode_cell(cell.value, top)
         for level, aggs in enumerate(self.cell_bounds[top:], top):
@@ -359,23 +375,20 @@ class Tracker:
         val = _STATUS.pack(_FOLLOWER, leader_id, disp[0], disp[1], since)
         self.aff.put(_id_key(oid), "lf", "status", val, _us(since))
 
-    def _spatial_put(self, oid: int, x: float, y: float, t: float) -> None:
+    def _spatial_row(self, oid: int, cell: int) -> bytes:
         # One row per leader: cell key + "." + id. "." sorts below "0", so
         # every leader row of a cell falls inside that cell's key_range and
         # a scan's row count equals the leader count, which is what the
-        # level selector's density probe needs to see. The spatial table is
-        # a current-state index, not history, so a re-put replaces: without
-        # the delete a stationary leader would pile up versions that every
-        # scan re-reads.
-        cell = spatial.encode((x, y), self.levels.key_level, self.levels)
-        row = cell.key() + b"." + str(oid).encode()
-        col = str(oid)
-        self.spa.delete(row, "ids", col)
-        self.spa.put(row, "ids", col, _POS.pack(x, y), _us(t))
+        # level selector's density probe needs to see.
+        return SpatialIndex(self.levels.key_level, cell).key() + b"." + b"%d" % oid
 
-    def _spatial_delete(self, oid: int, x: float, y: float) -> None:
-        cell = spatial.encode((x, y), self.levels.key_level, self.levels)
-        self.spa.delete(cell.key() + b"." + str(oid).encode(), "ids", str(oid))
+    def _spatial_put(self, oid: int, cell: int, x: float, y: float, t: float) -> None:
+        # The spatial table is a current-state table: a re-put replaces the
+        # cell, so a stationary leader keeps one version.
+        self.spa.put(self._spatial_row(oid, cell), "ids", str(oid), _POS.pack(x, y), _us(t))
+
+    def _spatial_delete(self, oid: int, cell: int) -> None:
+        self.spa.delete(self._spatial_row(oid, cell), "ids", str(oid))
 
     def process_update(self, msg: UpdateMessage) -> UpdateOutcome:
         """Apply one location update per the shedding procedure.
@@ -390,65 +403,78 @@ class Tracker:
             self.rejected += 1
             raise StaleUpdateError("update for %d at t=%r precedes t=%r" % (msg.oid, msg.t, last))
         self.updates += 1
-        a = self.affiliation_of(msg.oid)
-        if a is not None and not a.is_leader:
+        key = _id_key(msg.oid)
+        status = self.aff.latest(key, "lf", "status")
+        flag = None
+        if status is not None:
+            flag, leader_id, dx, dy, _ = _STATUS.unpack(status[1])
+        if flag == _FOLLOWER:
+            # the shed test on the raw cells, with estimated_location's arithmetic
+            got = self.loc.latest(_id_key(leader_id), "loc", "rec")
             # no record: a merge absorbed the leader since the read above; the locked path retests
-            rec = self.latest_record(a.leader_id)
-            if rec is not None:
-                dt = msg.t - rec.t
-                ex = rec.x + rec.vx * dt + a.disp[0]
-                ey = rec.y + rec.vy * dt + a.disp[1]
+            if got is not None:
+                x, y, vx, vy = _LOC.unpack(got[1])
+                dt = msg.t - got[0] / 1e6
+                ex = x + vx * dt + dx
+                ey = y + vy * dt + dy
                 if math.hypot(ex - msg.x, ey - msg.y) <= self.cfg.epsilon:
                     self.sheds += 1
                     self._last_t[msg.oid] = msg.t
-                    return UpdateOutcome(Outcome.SHED, 0)
+                    return _SHED
         # a write is needed: reserve the clustering cells we may touch
-        cells = {self._cluster_cell_of(msg.x, msg.y)}
-        if a is not None and a.is_leader:
-            prev = self.latest_record(msg.oid)
-            if prev is not None:
-                cells.add(self._cluster_cell_of(prev.x, prev.y))
+        cell = self._key_cell(msg.x, msg.y)
+        shift = self._cluster_shift
+        cells = {cell[2] >> shift}
+        prev_cell = None  # the key-level cell of a leader's spatial row
+        if flag == _LEADER:
+            got = self.loc.latest(key, "loc", "rec")
+            if got is not None:
+                prev_cell = self._key_cell(*_POS.unpack_from(got[1]))[2]
+                cells.add(prev_cell >> shift)
         self._enter_cells(cells)
         try:
             with self._aff_lock:
                 a = self.affiliation_of(msg.oid)  # revalidate under the lock
                 if a is None:
-                    out = self._register_locked(msg)
+                    out = self._register_locked(msg, cell)
                 elif a.is_leader:
-                    out = self._leader_update_locked(msg)
+                    # only this object's own updates move its record, so the
+                    # one read above is still its latest
+                    out = self._leader_update_locked(msg, cell, prev_cell)
                 else:
-                    out = self._promote_locked(msg, a)
+                    out = self._promote_locked(msg, a, cell)
         finally:
             self._exit_cells(cells)
         self._last_t[msg.oid] = msg.t
         return out
 
-    def _register_locked(self, msg: UpdateMessage) -> UpdateOutcome:
+    def _register_locked(self, msg: UpdateMessage, cell: tuple[int, int, int]) -> UpdateOutcome:
         self._write_leader_status(msg.oid, msg.t)
         self.loc.put(_id_key(msg.oid), "loc", "rec", pack_location(msg.x, msg.y, msg.vx, msg.vy), _us(msg.t))
-        self._spatial_put(msg.oid, msg.x, msg.y, msg.t)
+        self._spatial_put(msg.oid, cell[2], msg.x, msg.y, msg.t)
         self.leader_count += 1
         self.object_count += 1
         self.registrations += 1
-        self._raise_cells(msg.oid, msg)
+        self._raise_cells(msg.oid, msg, cell[0], cell[1])
         if self.archive is not None:
             self.archive.record_leader(msg.oid, msg.t)
         return UpdateOutcome(Outcome.PROMOTED, 3)
 
-    def _leader_update_locked(self, msg: UpdateMessage) -> UpdateOutcome:
-        prev = self.latest_record(msg.oid)
+    def _leader_update_locked(
+        self, msg: UpdateMessage, cell: tuple[int, int, int], prev_cell: int | None
+    ) -> UpdateOutcome:
         writes = 1
         self.loc.put(_id_key(msg.oid), "loc", "rec", pack_location(msg.x, msg.y, msg.vx, msg.vy), _us(msg.t))
-        if prev is not None:
-            self._spatial_delete(msg.oid, prev.x, prev.y)
+        if prev_cell is not None:
+            self._spatial_delete(msg.oid, prev_cell)
             writes += 1
-        self._spatial_put(msg.oid, msg.x, msg.y, msg.t)
+        self._spatial_put(msg.oid, cell[2], msg.x, msg.y, msg.t)
         writes += 1
         self.leader_updates += 1
-        self._raise_cells(msg.oid, msg)
+        self._raise_cells(msg.oid, msg, cell[0], cell[1])
         return UpdateOutcome(Outcome.LEADER_UPDATED, writes)
 
-    def _promote_locked(self, msg: UpdateMessage, a: Affiliation) -> UpdateOutcome:
+    def _promote_locked(self, msg: UpdateMessage, a: Affiliation, cell: tuple[int, int, int]) -> UpdateOutcome:
         # the affiliation may have been rebased by a merge since the shed
         # test; recompute the decision against current state
         rec = self.latest_record(a.leader_id)
@@ -458,14 +484,14 @@ class Tracker:
             ey = rec.y + rec.vy * dt + a.disp[1]
             if math.hypot(ex - msg.x, ey - msg.y) <= self.cfg.epsilon:
                 self.sheds += 1
-                return UpdateOutcome(Outcome.SHED, 0)
+                return _SHED
         self.aff.delete(_id_key(a.leader_id), "finfo", str(msg.oid))
         self._write_leader_status(msg.oid, msg.t)
         self.loc.put(_id_key(msg.oid), "loc", "rec", pack_location(msg.x, msg.y, msg.vx, msg.vy), _us(msg.t))
-        self._spatial_put(msg.oid, msg.x, msg.y, msg.t)
+        self._spatial_put(msg.oid, cell[2], msg.x, msg.y, msg.t)
         self.leader_count += 1
         self.promotions += 1
-        self._raise_cells(msg.oid, msg)
+        self._raise_cells(msg.oid, msg, cell[0], cell[1])
         if self.archive is not None:
             self.archive.record_leader(msg.oid, msg.t)
         return UpdateOutcome(Outcome.PROMOTED, 4)
@@ -514,8 +540,8 @@ class Tracker:
             moved.append((jdx, jdy))
             self.school_boxes[survivor] = _box(moved)
             self.school_boxes.pop(absorbed, None)
-            self._raise_cells(survivor, rec_i)
-            self._spatial_delete(absorbed, rec_j.x, rec_j.y)
+            self._raise_cells(survivor, rec_i, *spatial.grid_coord((rec_i.x, rec_i.y), self.levels.key_level, self.levels))
+            self._spatial_delete(absorbed, self._key_cell(rec_j.x, rec_j.y)[2])
             # the absorbed leader's own trajectory is history now; archive it
             hist = sorted(
                 (
@@ -619,7 +645,8 @@ class Tracker:
         cadence = self.cfg.cluster_period / n_cells
         if self._sweep_t0 is None:
             self._sweep_t0 = now
-        due = int((now - self._sweep_t0) / cadence) - self._sweep_done
+        t0 = self._sweep_t0
+        due = int((now - t0) / cadence) - self._sweep_done
         due = max(0, min(due, n_cells))
         out = []
         for _ in range(due):
@@ -627,6 +654,16 @@ class Tracker:
             out.append(self.recluster_cell(cell, now))
             self._sweep_pos = (self._sweep_pos + 1) % n_cells
             self._sweep_done += 1
+        # the least t with int((t - t0) / cadence) > done, found by stepping
+        # one float at a time from the real-number answer; the expression is
+        # monotone in t, so a call before it would find nothing due
+        done = self._sweep_done
+        t = t0 + (done + 1) * cadence
+        while int((t - t0) / cadence) <= done:
+            t = math.nextafter(t, math.inf)
+        while int((math.nextafter(t, -math.inf) - t0) / cadence) > done:
+            t = math.nextafter(t, -math.inf)
+        self.next_cluster_t = t
         return out
 
     # --------------------------------------------------------------- eviction

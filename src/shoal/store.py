@@ -7,6 +7,18 @@ files with an in-memory index of value offsets. A periodic age_tick moves
 cells whose age exceeds their tier's TTL one tier down; cells aging out of the
 final tier are handed to an eviction callback (the archive) or discarded.
 
+A table whose every tier TTL is infinite never ages. If it also has no
+eviction callback, it holds state rather than history bound for an archive,
+and it is a current-state table: it keeps one cell per column, as a Bigtable
+column family with a one-version GC policy does. A put there replaces the
+column's cell unless the cell has a larger timestamp (at equal timestamps the
+later write wins), which is the cell `latest` would return anyway.
+
+Each finite tier keeps an expiry queue: a min-heap of (timestamp, sequence,
+row, column, cell) entries pushed when a cell enters the tier. A tick pops
+only the entries that have expired, so it costs what it moves, not what the
+table holds. Entries whose cell a delete removed are skipped when popped.
+
 Thread safety: every table operation runs under that table's lock. Range scans
 snapshot one row at a time, so a scan racing a writer sees each row at one
 instant but different rows possibly at different instants.
@@ -15,6 +27,8 @@ instant but different rows possibly at different instants.
 from __future__ import annotations
 
 import bisect
+import heapq
+import itertools
 import math
 import os
 import struct
@@ -130,6 +144,14 @@ class _Column:
         return self.tiers[i]
 
 
+def _insert(dq: deque, cell: _Cell) -> None:
+    """Place the cell in a newest-first deque, ahead of cells with its timestamp."""
+    if not dq or cell.ts >= dq[0].ts:
+        dq.appendleft(cell)
+    else:  # out-of-order timestamp
+        dq.insert(sum(c.ts > cell.ts for c in dq), cell)
+
+
 class Table:
     """One table: rows of versioned cells plus the tier plumbing."""
 
@@ -149,6 +171,11 @@ class Table:
         self.families = tuple(families)
         self.tier_ttls_us = tuple(t * 1e6 for t in tier_ttls)
         self.tier_count = len(tier_ttls)
+        self._ages = any(t != math.inf for t in tier_ttls)
+        self.current_state = not self._ages and on_final_evict is None
+        # expiry queue per finite tier (module docstring)
+        self._expiry: list[list | None] = [None if t == math.inf else [] for t in tier_ttls]
+        self._seq = itertools.count()
         self.on_final_evict = on_final_evict
         self._rows: dict[bytes, dict[tuple[str, str], _Column]] = {}
         self._keys: list[bytes] = []
@@ -174,6 +201,8 @@ class Table:
             raise UnknownFamilyError("family %r not declared on table %s" % (family, self.name))
 
     def put(self, row: bytes, family: str, column: str, value: bytes, timestamp: int) -> None:
+        """Add a cell version; in a current-state table, replace the column's cell
+        unless that one has a larger timestamp."""
         self._check_family(family)
         with self._lock:
             cols = self._rows.get(row)
@@ -181,25 +210,23 @@ class Table:
                 cols = {}
                 self._rows[row] = cols
                 bisect.insort(self._keys, row)
-            col = cols.get((family, column))
+            kc = (family, column)
+            col = cols.get(kc)
             if col is None:
                 col = _Column()
-                cols[(family, column)] = col
-            t0 = col.tier(0)
+                cols[kc] = col
+            t0 = col.tiers[0]
             cell = _Cell(timestamp, value)
-            if not t0 or timestamp >= t0[0].ts:
-                t0.appendleft(cell)
-            else:
-                # out-of-order write: keep newest-first order
-                items = list(t0)
-                pos = 0
-                while pos < len(items) and items[pos].ts > timestamp:
-                    pos += 1
-                items.insert(pos, cell)
-                t0.clear()
-                t0.extend(items)
-            self.tier_cells[0] += 1
             self.puts += 1
+            if self.current_state and t0:
+                if timestamp >= t0[0].ts:
+                    t0[0] = cell
+                return
+            _insert(t0, cell)
+            self.tier_cells[0] += 1
+            queue = self._expiry[0]
+            if queue is not None:
+                heapq.heappush(queue, (timestamp, next(self._seq), row, kc, cell))
 
     def _materialize(self, fam: str, colname: str, c: _Cell, tier: int) -> Cell:
         val = c.val
@@ -281,61 +308,59 @@ class Table:
                         removed += len(dq)
                         self.tier_cells[ti] -= len(dq)
             if not cols:
-                del self._rows[row]
-                i = bisect.bisect_left(self._keys, row)
-                if i < len(self._keys) and self._keys[i] == row:
-                    self._keys.pop(i)
+                self._drop_row(row)
             if removed:
                 self.deletes += 1
             return removed
 
     def age_tick(self, now_us: int) -> int:
         """Move cells older than their tier TTL one tier down; returns moves."""
+        if not self._ages:
+            return 0
         moved = 0
         with self._lock:
-            for row in list(self._keys):
-                cols = self._rows.get(row)
-                if cols is None:
+            # highest tier first so a cell moves at most one step per tick
+            for ti in range(self.tier_count - 1, -1, -1):
+                queue = self._expiry[ti]
+                if queue is None:
                     continue
-                dead_cols = []
-                for kc, col in cols.items():
-                    # highest tier first so a cell moves at most one step per tick
-                    for ti in range(min(len(col.tiers), self.tier_count) - 1, -1, -1):
-                        dq = col.tiers[ti]
-                        if not dq:
-                            continue
-                        ttl = self.tier_ttls_us[ti]
-                        if ttl == math.inf:
-                            continue
-                        while dq and now_us - dq[-1].ts > ttl:
-                            cell = dq.pop()
-                            self.tier_cells[ti] -= 1
-                            moved += 1
-                            if ti + 1 < self.tier_count:
-                                val = cell.val
-                                if isinstance(val, tuple):
-                                    val = self._file(ti).read(val[0], val[1])
-                                ref = self._file(ti + 1).append(row, kc[0], kc[1], cell.ts, val)
-                                cell.val = ref
-                                col.tier(ti + 1).appendleft(cell)
-                                self.tier_cells[ti + 1] += 1
-                            else:
-                                val = cell.val
-                                if isinstance(val, tuple):
-                                    val = self._file(ti).read(val[0], val[1])
-                                self.evicted += 1
-                                if self.on_final_evict is not None:
-                                    self.on_final_evict(row, kc[0], kc[1], cell.ts, val)
-                    if all(not dq for dq in col.tiers if dq is not None):
-                        dead_cols.append(kc)
-                for kc in dead_cols:
-                    del cols[kc]
-                if not cols:
-                    del self._rows[row]
-                    i = bisect.bisect_left(self._keys, row)
-                    if i < len(self._keys) and self._keys[i] == row:
-                        self._keys.pop(i)
+                ttl = self.tier_ttls_us[ti]
+                while queue and now_us - queue[0][0] > ttl:
+                    _, _, row, kc, cell = heapq.heappop(queue)
+                    cols = self._rows.get(row)
+                    col = cols.get(kc) if cols else None
+                    dq = col.tiers[ti] if col is not None and ti < len(col.tiers) else None
+                    # a live cell is its deque's oldest: both orders are (ts, write order)
+                    if not dq or dq[-1] is not cell:
+                        continue  # a delete removed it
+                    dq.pop()
+                    self.tier_cells[ti] -= 1
+                    moved += 1
+                    val = cell.val
+                    if isinstance(val, tuple):
+                        val = self._file(ti).read(val[0], val[1])
+                    if ti + 1 < self.tier_count:
+                        cell.val = self._file(ti + 1).append(row, kc[0], kc[1], cell.ts, val)
+                        _insert(col.tier(ti + 1), cell)
+                        self.tier_cells[ti + 1] += 1
+                        nxt = self._expiry[ti + 1]
+                        if nxt is not None:
+                            heapq.heappush(nxt, (cell.ts, next(self._seq), row, kc, cell))
+                        continue
+                    self.evicted += 1
+                    if self.on_final_evict is not None:
+                        self.on_final_evict(row, kc[0], kc[1], cell.ts, val)
+                    if not any(col.tiers):
+                        del cols[kc]
+                        if not cols:
+                            self._drop_row(row)
         return moved
+
+    def _drop_row(self, row: bytes) -> None:
+        del self._rows[row]
+        i = bisect.bisect_left(self._keys, row)
+        if i < len(self._keys) and self._keys[i] == row:
+            self._keys.pop(i)
 
     def row_count(self) -> int:
         with self._lock:

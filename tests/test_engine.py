@@ -5,6 +5,7 @@ import math
 from shoal.engine import Engine, EngineConfig
 from shoal.schooling import SchoolConfig, UpdateMessage
 from shoal.spatial import LevelConfig
+from shoal.workload import Generator, WorkloadConfig
 
 
 def make_engine(tmp_path, **kw):
@@ -81,6 +82,49 @@ class TestClusteringSchedule:
         assert len(stats) > 0
         assert any(s.leaders_before > s.leaders_after for s in stats)
         e.tracker.check_consistency()
+        e.close()
+
+
+    def test_skipped_calls_would_find_no_cell_due(self, tmp_path):
+        # a period whose cadence (0.3 / 4 cells) is not a binary fraction
+        e = make_engine(tmp_path, school=SchoolConfig(epsilon=5.0, cluster_period=0.3))
+        e.ingest(msg(1, 0.1, 100.0, 100.0, 1.0, 0.0))
+        tr = e.tracker
+        for _ in range(40):
+            t = tr.next_cluster_t
+            assert tr.clustering_tick(math.nextafter(t, -math.inf)) == []
+            assert tr.next_cluster_t == t
+            assert len(e.advance_time(t)) == 1
+        e.close()
+
+    def test_no_cluster_time_without_a_period(self, tmp_path):
+        e = make_engine(tmp_path)
+        assert e.tracker.next_cluster_t == math.inf
+        e.close()
+
+
+class TestSteadyState:
+    def test_state_is_flat_in_elapsed_time(self, tmp_path):
+        # location cells live about 8 s, longer than any report interval (5 s)
+        e = make_engine(
+            tmp_path, school=SchoolConfig(), location_ttls=(6.0, 6.0, 6.0), archive_enabled=False)
+        tr = e.tracker
+        live = []
+        gen = Generator(WorkloadConfig(seed=3, n_agents=400, duration=150.0))
+        for m in gen.messages():
+            if m.t >= 30.0 + 15.0 * len(live):  # warm-up, then every 15 s
+                status = finfo = 0
+                for key in tr.aff.keys():
+                    cells = tr.aff.get_row(key)
+                    status += sum(c.family == "lf" for c in cells)
+                    finfo += sum(c.family == "finfo" for c in cells)
+                assert status == tr.object_count == 400
+                assert finfo == tr.object_count - tr.leader_count
+                live.append(sum(t.cell_count() for t in e.store.tables()))
+            e.ingest(m)
+        tr.check_consistency()
+        assert len(live) == 8
+        assert max(live) - min(live) <= 0.15 * min(live)
         e.close()
 
 

@@ -167,21 +167,21 @@ class TestUpdateProcedure:
         tr.process_update(msg(3, 0.0, 100.0, 110.0, 1.0, 0.0))
         tr.process_update(msg(2, 0.0, 100.0, 113.0, 1.0, 0.0))
         assert tr.merge_schools(3, 2, 0.0)
-        # the shed path reads follower 2's affiliation (leader 3), then a
+        # the shed path reads follower 2's status cell (leader 3), then a
         # merge absorbs leader 3 before the path reads 3's record
-        affiliation_of = tr.affiliation_of
+        latest = tr.aff.latest
         hooked = []
 
-        def racing(oid):
-            a = affiliation_of(oid)
+        def racing(row, family, column):
+            got = latest(row, family, column)
             if not hooked:
-                hooked.append(oid)
+                hooked.append(row)
                 assert tr.merge_schools(1, 3, 0.0)
-            return a
+            return got
 
-        tr.affiliation_of = racing
+        tr.aff.latest = racing
         out = tr.process_update(msg(2, 2.0, 102.5, 113.2, 1.0, 0.0))
-        assert hooked == [2]
+        assert hooked == [b"2"]
         assert out.kind is Outcome.SHED and out.writes == 0
         assert tr.affiliation_of(2) == Affiliation(False, 1, (0.0, 13.0), 0.0)
         tr.check_consistency()

@@ -216,6 +216,109 @@ class TestAging:
         assert t.cell_count() == 0
 
 
+class TestExpiryQueues:
+    def test_evicts_across_rows_in_timestamp_order(self, store):
+        out = []
+        t = store.create_table(
+            "t", ("fam",), tier_ttls=(1.0,), on_final_evict=lambda *a: out.append(a))
+        for row, ts in ((b"a", 3), (b"b", 1), (b"c", 2), (b"a", 0)):
+            t.put(row, "fam", "c", b"", ts * US)
+        assert t.age_tick(10 * US) == 4
+        assert [(row, ts // US) for row, _, _, ts, _ in out] == [
+            (b"a", 0), (b"b", 1), (b"c", 2), (b"a", 3)]
+        assert t.row_count() == 0
+
+    def test_pops_only_expired_cells(self, store):
+        t = store.create_table("t", ("fam",), tier_ttls=(5.0, 100.0))
+        for i in range(10):
+            t.put(b"%d" % i, "fam", "c", b"", i * US)
+        assert t.age_tick(8 * US) == 3  # ages 8, 7, 6 exceed 5
+        assert t.tier_cells == [7, 3]
+        assert t.age_tick(8 * US) == 0
+
+    def test_out_of_order_put_ages_by_its_own_timestamp(self, store):
+        out = []
+        t = store.create_table(
+            "t", ("fam",), tier_ttls=(5.0, 10.0), on_final_evict=lambda *a: out.append(a))
+        t.put(b"r", "fam", "c", b"b", 5 * US)
+        assert t.age_tick(11 * US) == 1  # b reaches tier 1
+        t.put(b"r", "fam", "c", b"a", 0)  # older than b, written after it
+        assert t.age_tick(12 * US) == 1  # a reaches tier 1, behind b
+        assert [(c.value, c.tier) for c in t.get_row(b"r")] == [(b"b", 1), (b"a", 1)]
+        assert t.age_tick(13 * US) == 1  # a is 13 s old, b only 8 s
+        assert [o[4] for o in out] == [b"a"]
+        assert t.latest(b"r", "fam", "c") == (5 * US, b"b")
+
+    def test_deleted_cells_are_skipped(self, store):
+        out = []
+        t = store.create_table(
+            "t", ("fam",), tier_ttls=(5.0,), on_final_evict=lambda *a: out.append(a))
+        t.put(b"gone", "fam", "c", b"", 0)
+        t.put(b"kept", "fam", "c", b"v", 1 * US)
+        t.put(b"again", "fam", "c", b"old", 0)
+        assert t.delete(b"gone") == 1
+        assert t.delete(b"again", "fam", "c") == 1
+        t.put(b"again", "fam", "c", b"new", 8 * US)  # the column written again
+        assert t.age_tick(10 * US) == 1
+        assert [o[0] for o in out] == [b"kept"]
+        assert t.cell_count() == 1 and t.tier_cells == [1]
+        assert t.age_tick(20 * US) == 1
+        assert [o[0] for o in out] == [b"kept", b"again"]
+        assert t.cell_count() == 0 and t.row_count() == 0
+
+    def test_one_tier_step_per_tick_for_every_cell(self, store):
+        out = []
+        t = store.create_table(
+            "t", ("fam",), tier_ttls=(1.0, 1.0, 1.0), on_final_evict=lambda *a: out.append(a))
+        for i, ts in enumerate((7, 3, 9, 0, 5)):
+            t.put(b"%d" % (i % 2), "fam", "c%d" % i, b"", ts * US)
+        for tier in (1, 2):
+            assert t.age_tick(100 * US) == 5
+            assert {c.tier for k in t.keys() for c in t.get_row(k)} == {tier}
+        assert t.age_tick(100 * US) == 5
+        assert [o[3] // US for o in out] == [0, 3, 5, 7, 9]
+        assert t.cell_count() == 0
+
+
+class TestCurrentState:
+    def test_put_replaces_unless_older(self, store):
+        t = store.create_table("t", ("fam",), tier_ttls=(float("inf"),))
+        assert t.current_state
+        t.put(b"r", "fam", "c", b"first", 10)
+        t.put(b"r", "fam", "c", b"second", 20)
+        assert [(c.timestamp, c.value) for c in t.get_row(b"r")] == [(20, b"second")]
+        t.put(b"r", "fam", "c", b"older", 15)  # does not replace
+        assert t.latest(b"r", "fam", "c") == (20, b"second")
+        t.put(b"r", "fam", "c", b"same", 20)  # equal timestamp: the later write wins
+        assert t.latest(b"r", "fam", "c") == (20, b"same")
+        assert t.puts == 4
+        assert t.cell_count() == 1 and t.tier_cells == [1]
+
+    def test_one_cell_per_column(self, store):
+        t = store.create_table("t", ("a", "b"), tier_ttls=(float("inf"),))
+        for ts in range(5):
+            t.put(b"r", "a", "x", b"%d" % ts, ts)
+            t.put(b"r", "a", "y", b"%d" % ts, ts)
+            t.put(b"r", "b", "x", b"%d" % ts, ts)
+        assert [(c.family, c.column, c.value) for c in t.get_row(b"r")] == [
+            ("a", "x", b"4"), ("a", "y", b"4"), ("b", "x", b"4")]
+        assert t.cell_count() == 3 and t.puts == 15
+        assert t.delete(b"r", "a") == 2
+        t.put(b"r", "a", "x", b"back", 1)  # a fresh column after the delete
+        assert t.cell_count() == 2
+        assert t.age_tick(1 << 61) == 0
+
+    def test_tables_that_age_or_evict_keep_versions(self, store):
+        evicting = store.create_table(
+            "e", ("fam",), tier_ttls=(float("inf"),), on_final_evict=lambda *a: None)
+        aging = store.create_table("a", ("fam",), tier_ttls=(float("inf"), 5.0))
+        for t in (evicting, aging):
+            assert not t.current_state
+            t.put(b"r", "fam", "c", b"old", 1)
+            t.put(b"r", "fam", "c", b"new", 2)
+            assert [c.value for c in t.get_row(b"r")] == [b"new", b"old"]
+
+
 class TestDiskTiers:
     def test_disk_tier_file_format(self, store, tmp_path):
         t = store.create_table("fmt", ("fam",), tier_ttls=(1.0, 100.0))
