@@ -210,7 +210,6 @@ class _Disk:
         self.transfer_time = 0.0
         self.overhead_time = 0.0
         self.flushes = 0
-        self.records = 0
         self._f = None
 
     def file(self):
@@ -277,7 +276,6 @@ class Archiver:
             page = disk.pages[disk.filling]
             page.records.append((oid, ts, rec.x, rec.y, rec.vx, rec.vy))
             self.appended += 1
-            disk.records += 1
             if len(page.records) >= self.page_records:
                 self._rotate(disk, self._now)
 
@@ -478,9 +476,6 @@ class Archiver:
         if overhead == 0:
             return 0.0
         return transfer / overhead
-
-    def disk_record_counts(self) -> list[int]:
-        return [d.records for d in self.disks]
 
     def flush_count(self) -> int:
         return sum(d.flushes for d in self.disks)

@@ -4,7 +4,7 @@ Subcommands:
   simulate     road-network workload through the full engine, per-second report
   nnbench      fixed levels vs adaptive level selection on static populations
   archive-opt  disk-count optimizer (JSON result; --sweep emits the curve)
-  scaling      ingest throughput at several worker counts over one store
+  scaling      engine ingest throughput at several worker counts
   trace        record a workload to a file / replay a file through the engine
 
 Configuration is a flat key=value text file (--config) plus positional
@@ -24,13 +24,14 @@ import random
 import sys
 import threading
 import time
+from contextlib import closing
+from typing import Iterable
 
 from .archive import DiskModelParams, InfeasibleError, fill_time, flush_duration, optimize, retrieval_ratio, utilization
 from .engine import Engine, EngineConfig
-from .nn import FlagConfig, NNQuery, Searcher
-from .schooling import SchoolConfig, StaleUpdateError, Tracker, UpdateMessage
+from .nn import FlagConfig, NNQuery
+from .schooling import MergeStats, SchoolConfig, StaleUpdateError, UpdateMessage
 from .spatial import LevelConfig
-from .store import Store
 from .workload import Generator, TraceError, WorkloadConfig, record_trace, replay_trace
 
 EXIT_OK = 0
@@ -152,6 +153,63 @@ def _workload(cfg: dict[str, str], seed: int, levels: LevelConfig) -> WorkloadCo
     )
 
 
+def _engine_config(cfg: dict[str, str], levels: LevelConfig, **extra) -> EngineConfig:
+    """The engine keys that simulate and trace replay share; extra sets the rest."""
+    ttl0 = _get(cfg, "tier_ttl", float, 60.0)
+    return EngineConfig(
+        levels=levels,
+        school=_school(cfg),
+        flag=_flag(cfg, levels),
+        location_ttls=(ttl0, ttl0 * 2, ttl0 * 4),
+        archive_enabled=_get(cfg, "archive", bool, True),
+        archive_params=_disk_params(cfg),
+        n_disks=_get(cfg, "n_disks", int, 4),
+        **extra,
+    )
+
+
+def _ingest_batch(engine: Engine, batch: Iterable[UpdateMessage], workers: int = 1) -> list[MergeStats]:
+    """Feed updates through engine.ingest, moving the clock to each one first.
+
+    Split by oid % workers over that many threads (inline for one), so each
+    object's updates stay in order on one thread. Stale updates are skipped
+    (the tracker counts them). Returns the MergeStats of the passes run.
+    """
+
+    def feed(msgs: Iterable[UpdateMessage]) -> list[MergeStats]:
+        merges = []
+        for msg in msgs:
+            merges += engine.advance_time(msg.t)
+            try:
+                engine.ingest(msg)
+            except StaleUpdateError:
+                pass
+        return merges
+
+    if workers <= 1:
+        return feed(batch)
+    parts: list[list[UpdateMessage]] = [[] for _ in range(workers)]
+    for msg in batch:
+        parts[msg.oid % workers].append(msg)
+    results: list = [None] * workers
+
+    def run(i: int) -> None:
+        try:
+            results[i] = feed(parts[i])
+        except Exception as exc:  # raised again on the calling thread
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for got in results:
+        if isinstance(got, Exception):
+            raise got
+    return [st for merges in results for st in merges]
+
+
 class _Report:
     """JSON-lines writer with an optional CSV view of the per-second series."""
 
@@ -184,9 +242,11 @@ class _Report:
 class SimulationRun:
     """Drives workload messages through an engine in per-second buckets.
 
-    With workers > 1, each bucket's messages are partitioned by id across
-    worker threads (per-object order is preserved inside a partition); the
-    clock only advances between buckets, on the driving thread.
+    Each bucket goes through _ingest_batch on `workers` threads. The clock
+    moves with the messages, on whichever thread holds the latest one, so
+    reclustering and aging run inside the bucket while the other threads
+    ingest. The driving thread then moves the clock to the bucket's end and
+    runs the queries and the report there.
     """
 
     def __init__(
@@ -208,35 +268,6 @@ class SimulationRun:
         self._qrng = random.Random(seed ^ 0x51C2A5)
         self.failed_queries = 0
         self.queries = 0
-
-    def _ingest(self, batch: list[UpdateMessage]) -> int:
-        tracker = self.engine.tracker
-        rejected = 0
-        if self.workers == 1:
-            for msg in batch:
-                try:
-                    tracker.process_update(msg)
-                except StaleUpdateError:
-                    rejected += 1
-            return rejected
-        parts: list[list[UpdateMessage]] = [[] for _ in range(self.workers)]
-        for msg in batch:
-            parts[msg.oid % self.workers].append(msg)
-        errs = [0] * self.workers
-
-        def run(i: int) -> None:
-            for msg in parts[i]:
-                try:
-                    tracker.process_update(msg)
-                except StaleUpdateError:
-                    errs[i] += 1
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(self.workers)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        return sum(errs)
 
     def _run_queries(self, now: float) -> tuple[int, int]:
         n = int(self.query_rate)
@@ -274,9 +305,8 @@ class SimulationRun:
         n_buckets = int(math.ceil(duration))
         for sec in range(1, n_buckets + 1):
             boundary = min(float(sec), duration)
-            batch = list(self.gen.step(boundary))
-            self._ingest(batch)
-            merges = engine.advance_time(boundary)
+            merges = _ingest_batch(engine, self.gen.step(boundary), self.workers)
+            merges += engine.advance_time(boundary)
             queries, failed = self._run_queries(boundary)
             cur = {
                 "updates": tracker.updates, "sheds": tracker.sheds,
@@ -341,41 +371,28 @@ class SimulationRun:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.overrides)
     levels = _levels(cfg)
-    school = _school(cfg)
-    flag = _flag(cfg, levels)
-    params = _disk_params(cfg)
     wl = _workload(cfg, args.seed, levels)
     workers = _get(cfg, "workers", int, 1)
     query_rate = _get(cfg, "query_rate", float, 1.0)
     query_k = _get(cfg, "query_k", int, 10)
     query_timeout = _get(cfg, "query_timeout", float, 1.0)
-    ttl0 = _get(cfg, "tier_ttl", float, 60.0)
-    archive_enabled = _get(cfg, "archive", bool, True)
-    n_disks = _get(cfg, "n_disks", int, 4)
-    age_interval = _get(cfg, "age_interval", float, 1.0)
-    work_dir = _get(cfg, "work_dir", str, None)
+    ecfg = _engine_config(
+        cfg, levels,
+        age_interval=_get(cfg, "age_interval", float, 1.0),
+        work_dir=_get(cfg, "work_dir", str, None),
+    )
     _reject_unknown(cfg)
 
-    engine = Engine(EngineConfig(
-        levels=levels,
-        school=school,
-        flag=flag,
-        location_ttls=(ttl0, ttl0 * 2, ttl0 * 4),
-        age_interval=age_interval,
-        archive_enabled=archive_enabled,
-        archive_params=params,
-        n_disks=n_disks,
-        work_dir=work_dir,
-    ))
+    engine = Engine(ecfg)
     gen = Generator(wl)
     report = _Report(args.out)
     report.emit({
         "type": "config", "command": "simulate", "seed": args.seed,
         "duration": wl.duration, "n_agents": wl.n_agents, "workers": workers,
-        "epsilon": school.epsilon, "delta_m": school.delta_m,
-        "cluster_period": school.cluster_period,
+        "epsilon": ecfg.school.epsilon, "delta_m": ecfg.school.delta_m,
+        "cluster_period": ecfg.school.cluster_period,
         "key_level": levels.key_level, "cluster_level": levels.cluster_level,
-        "map_size": levels.map_size, "sigma": flag.sigma,
+        "map_size": levels.map_size, "sigma": ecfg.flag.sigma,
     })
     run = SimulationRun(
         engine, gen,
@@ -395,23 +412,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- nnbench
 
 
-def _static_population(n: int, levels: LevelConfig, seed: int) -> tuple[Store, Tracker]:
-    """n motionless leaders uniform over the map; clustering disabled."""
+def _static_population(n: int, levels: LevelConfig, flag: FlagConfig, seed: int) -> Engine:
+    """n motionless leaders uniform over the map at t = 1, on an engine with
+    clustering and the archive off."""
     rng = random.Random(seed)
-    store = Store()
-    school = SchoolConfig(cluster_period=math.inf)
-    tracker = Tracker(store, levels, school)
+    engine = Engine(EngineConfig(
+        levels=levels, school=SchoolConfig(cluster_period=math.inf), flag=flag, archive_enabled=False))
     size = levels.map_size
-    for oid in range(n):
-        tracker.process_update(UpdateMessage(
-            oid, 1.0, rng.uniform(0, size), rng.uniform(0, size), 0.0, 0.0))
-    return store, tracker
+    _ingest_batch(engine, (
+        UpdateMessage(oid, 1.0, rng.uniform(0, size), rng.uniform(0, size), 0.0, 0.0) for oid in range(n)))
+    return engine
 
 
-def _brute_force_knn(tracker: Tracker, q: NNQuery) -> list[tuple[float, int]]:
+def _brute_force_knn(engine: Engine, q: NNQuery) -> list[tuple[float, int]]:
     """Oracle: squared distance over every modeled object location."""
     out = []
-    for oid, (x, y) in tracker.all_locations(q.t):
+    for oid, (x, y) in engine.tracker.all_locations(q.t):
         dx = x - q.x
         dy = y - q.y
         out.append((dx * dx + dy * dy, oid))
@@ -442,54 +458,53 @@ def cmd_nnbench(args: argparse.Namespace) -> int:
     rows_by_level: dict[int, dict[str, float]] = {}
     try:
         for density in densities:
-            store, tracker = _static_population(density, levels, args.seed)
-            searcher = Searcher(tracker, flag)
-            points = [
-                (rng.uniform(0, levels.map_size), rng.uniform(0, levels.map_size))
-                for _ in range(n_queries)
-            ]
-            results: dict[str, float] = {}
-            for level in fixed_levels:
+            with closing(_static_population(density, levels, flag, args.seed)) as engine:
+                searcher = engine.searcher
+                points = [
+                    (rng.uniform(0, levels.map_size), rng.uniform(0, levels.map_size))
+                    for _ in range(n_queries)
+                ]
+                results: dict[str, float] = {}
+                for level in fixed_levels:
+                    rows = 0
+                    began = time.monotonic()
+                    for x, y in points:
+                        searcher.knn(NNQuery(x, y, 1.0, query_k), l_n=level)
+                        rows += searcher.last_stats.rows_scanned
+                    elapsed = time.monotonic() - began
+                    results[str(level)] = rows / n_queries
+                    report.emit({
+                        "type": "nnbench", "density": density, "level": level,
+                        "rows_per_query": rows / n_queries,
+                        "latency_ms": 1e3 * elapsed / n_queries,
+                    })
+                for x, y in points:  # warm the level cache so probes amortize
+                    searcher.cached_level((x, y), None)
                 rows = 0
                 began = time.monotonic()
                 for x, y in points:
-                    searcher.knn(NNQuery(x, y, 1.0, query_k), l_n=level)
+                    searcher.knn(NNQuery(x, y, 1.0, query_k))
                     rows += searcher.last_stats.rows_scanned
                 elapsed = time.monotonic() - began
-                results[str(level)] = rows / n_queries
+                results["flag"] = rows / n_queries
                 report.emit({
-                    "type": "nnbench", "density": density, "level": level,
+                    "type": "nnbench", "density": density, "level": "flag",
                     "rows_per_query": rows / n_queries,
                     "latency_ms": 1e3 * elapsed / n_queries,
+                    "cache_hits": searcher.cache_hits,
+                    "cache_misses": searcher.cache_misses,
                 })
-            for x, y in points:  # warm the level cache so probes amortize
-                searcher.cached_level((x, y), None)
-            rows = 0
-            began = time.monotonic()
-            for x, y in points:
-                searcher.knn(NNQuery(x, y, 1.0, query_k))
-                rows += searcher.last_stats.rows_scanned
-            elapsed = time.monotonic() - began
-            results["flag"] = rows / n_queries
-            report.emit({
-                "type": "nnbench", "density": density, "level": "flag",
-                "rows_per_query": rows / n_queries,
-                "latency_ms": 1e3 * elapsed / n_queries,
-                "cache_hits": searcher.cache_hits,
-                "cache_misses": searcher.cache_misses,
-            })
-            rows_by_level[density] = results
-            per_density = max(1, exact_sample // max(1, len(densities)))
-            for _ in range(per_density):
-                x = rng.uniform(0, levels.map_size)
-                y = rng.uniform(0, levels.map_size)
-                q = NNQuery(x, y, 1.0, query_k)
-                got = [nb.oid for nb in searcher.knn(q)]
-                want = [oid for _, oid in _brute_force_knn(tracker, q)]
-                exact_checked += 1
-                if got != want:
-                    mismatches += 1
-            store.close()
+                rows_by_level[density] = results
+                per_density = max(1, exact_sample // max(1, len(densities)))
+                for _ in range(per_density):
+                    x = rng.uniform(0, levels.map_size)
+                    y = rng.uniform(0, levels.map_size)
+                    q = NNQuery(x, y, 1.0, query_k)
+                    got = [nb.oid for nb in searcher.knn(q)]
+                    want = [oid for _, oid in _brute_force_knn(engine, q)]
+                    exact_checked += 1
+                    if got != want:
+                        mismatches += 1
         best = {
             d: min(v for k, v in res.items() if k != "flag")
             for d, res in rows_by_level.items()
@@ -546,6 +561,8 @@ def cmd_archive_opt(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
+    """Engine ingest throughput per worker count, each on a fresh engine with the
+    archive off; the clock's reclustering and aging count in the time."""
     cfg = load_config(args.config, args.overrides)
     levels = _levels(cfg)
     school = _school(cfg)
@@ -563,23 +580,10 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     base = None
     try:
         for w in workers_list:
-            store = Store()
-            tracker = Tracker(store, levels, school)
-            parts: list[list[UpdateMessage]] = [[] for _ in range(w)]
-            for msg in messages:
-                parts[msg.oid % w].append(msg)
-
-            def run(part: list[UpdateMessage]) -> None:
-                for msg in part:
-                    tracker.process_update(msg)
-
-            threads = [threading.Thread(target=run, args=(p,)) for p in parts]
-            began = time.monotonic()
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-            elapsed = time.monotonic() - began
+            with closing(Engine(EngineConfig(levels=levels, school=school, archive_enabled=False))) as engine:
+                began = time.monotonic()
+                _ingest_batch(engine, messages, w)
+                elapsed = time.monotonic() - began
             throughput = len(messages) / elapsed if elapsed > 0 else 0.0
             if base is None:
                 base = throughput
@@ -591,7 +595,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
             })
             print("scaling: W=%d %.0f updates/s (%.2fx)" % (
                 w, throughput, throughput / base if base else 0.0))
-            store.close()
     finally:
         report.close()
     return EXIT_OK
@@ -613,27 +616,11 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
 
 def cmd_trace_replay(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.overrides)
-    levels = _levels(cfg)
-    school = _school(cfg)
-    flag = _flag(cfg, levels)
-    params = _disk_params(cfg)
-    n_disks = _get(cfg, "n_disks", int, 4)
-    ttl0 = _get(cfg, "tier_ttl", float, 60.0)
-    archive_enabled = _get(cfg, "archive", bool, True)
+    ecfg = _engine_config(cfg, _levels(cfg))
     _reject_unknown(cfg)
-    engine = Engine(EngineConfig(
-        levels=levels, school=school, flag=flag,
-        location_ttls=(ttl0, ttl0 * 2, ttl0 * 4),
-        archive_enabled=archive_enabled, archive_params=params, n_disks=n_disks,
-    ))
-    n = rejected = 0
+    engine = Engine(ecfg)
     try:
-        for msg in replay_trace(args.trace):
-            try:
-                engine.ingest(msg)
-            except StaleUpdateError:
-                rejected += 1
-            n += 1
+        _ingest_batch(engine, replay_trace(args.trace))
         engine.drain()
     except TraceError as exc:
         print("replay failed: %s" % exc, file=sys.stderr)
@@ -641,8 +628,9 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     finally:
         engine.close()
     tracker = engine.tracker
+    n = tracker.updates + tracker.rejected
     print("replay: %d updates, shed rate %.3f, %d rejected, %d archived" % (
-        n, tracker.sheds / n if n else 0.0, rejected,
+        n, tracker.sheds / n if n else 0.0, tracker.rejected,
         engine.archive.appended if engine.archive else 0))
     return EXIT_OK
 

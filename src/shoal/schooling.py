@@ -31,10 +31,14 @@ Leader writes and merges only widen them; reclustering recomputes both for
 its clustering cell, shedding what promotions and moves left loose.
 
 Concurrency: updates for distinct ids may run on different threads. All
-mutating paths, the bounds included, serialize on one affiliation lock; the
-shed path takes no lock.
+mutating paths, the bounds and each leader's key-level cell included,
+serialize on one affiliation lock; the shed path takes no lock. Writes to the
+spatial and affiliation tables happen only under that lock, so their order is
+the order of events, which is what the tables' last-write-wins put relies on.
 Reclustering holds one clustering cell exclusively: updates that would write
 into that cell wait until the pass ends, updates elsewhere are never blocked.
+Under the engine a pass runs on the thread that moves the clock, so an update
+that must move the clock further waits for a running pass (engine.py).
 """
 
 from __future__ import annotations
@@ -221,6 +225,7 @@ class Tracker:
         self._active_cell: int | None = None
         self._inflight: dict[int, int] = {}  # cluster cell value -> writers inside
         self._cluster_shift = 2 * (levels.key_level - levels.cluster_level)  # key cell -> cluster cell
+        self._leader_cells: dict[int, int] = {}  # leader id -> key-level cell of its spatial row
         # counters
         self.updates = 0
         self.sheds = 0
@@ -294,9 +299,6 @@ class Tracker:
             except AffiliationError:
                 continue
         return out
-
-    def school_count(self) -> int:
-        return self.leader_count
 
     # ------------------------------------------------- clustering-cell guards
 
@@ -386,6 +388,7 @@ class Tracker:
         # The spatial table is a current-state table: a re-put replaces the
         # cell, so a stationary leader keeps one version.
         self.spa.put(self._spatial_row(oid, cell), "ids", str(oid), _POS.pack(x, y), _us(t))
+        self._leader_cells[oid] = cell
 
     def _spatial_delete(self, oid: int, cell: int) -> None:
         self.spa.delete(self._spatial_row(oid, cell), "ids", str(oid))
@@ -403,8 +406,7 @@ class Tracker:
             self.rejected += 1
             raise StaleUpdateError("update for %d at t=%r precedes t=%r" % (msg.oid, msg.t, last))
         self.updates += 1
-        key = _id_key(msg.oid)
-        status = self.aff.latest(key, "lf", "status")
+        status = self.aff.latest(_id_key(msg.oid), "lf", "status")
         flag = None
         if status is not None:
             flag, leader_id, dx, dy, _ = _STATUS.unpack(status[1])
@@ -425,12 +427,11 @@ class Tracker:
         cell = self._key_cell(msg.x, msg.y)
         shift = self._cluster_shift
         cells = {cell[2] >> shift}
-        prev_cell = None  # the key-level cell of a leader's spatial row
-        if flag == _LEADER:
-            got = self.loc.latest(key, "loc", "rec")
-            if got is not None:
-                prev_cell = self._key_cell(*_POS.unpack_from(got[1]))[2]
-                cells.add(prev_cell >> shift)
+        # a leader's spatial row cell; only its own updates move it, and a
+        # merge that drops it leaves a follower, so it holds under the lock
+        prev_cell = self._leader_cells.get(msg.oid)
+        if prev_cell is not None:
+            cells.add(prev_cell >> shift)
         self._enter_cells(cells)
         try:
             with self._aff_lock:
@@ -438,8 +439,6 @@ class Tracker:
                 if a is None:
                     out = self._register_locked(msg, cell)
                 elif a.is_leader:
-                    # only this object's own updates move its record, so the
-                    # one read above is still its latest
                     out = self._leader_update_locked(msg, cell, prev_cell)
                 else:
                     out = self._promote_locked(msg, a, cell)
@@ -460,19 +459,13 @@ class Tracker:
             self.archive.record_leader(msg.oid, msg.t)
         return UpdateOutcome(Outcome.PROMOTED, 3)
 
-    def _leader_update_locked(
-        self, msg: UpdateMessage, cell: tuple[int, int, int], prev_cell: int | None
-    ) -> UpdateOutcome:
-        writes = 1
+    def _leader_update_locked(self, msg: UpdateMessage, cell: tuple[int, int, int], prev_cell: int) -> UpdateOutcome:
         self.loc.put(_id_key(msg.oid), "loc", "rec", pack_location(msg.x, msg.y, msg.vx, msg.vy), _us(msg.t))
-        if prev_cell is not None:
-            self._spatial_delete(msg.oid, prev_cell)
-            writes += 1
+        self._spatial_delete(msg.oid, prev_cell)
         self._spatial_put(msg.oid, cell[2], msg.x, msg.y, msg.t)
-        writes += 1
         self.leader_updates += 1
         self._raise_cells(msg.oid, msg, cell[0], cell[1])
-        return UpdateOutcome(Outcome.LEADER_UPDATED, writes)
+        return UpdateOutcome(Outcome.LEADER_UPDATED, 3)
 
     def _promote_locked(self, msg: UpdateMessage, a: Affiliation, cell: tuple[int, int, int]) -> UpdateOutcome:
         # the affiliation may have been rebased by a merge since the shed
@@ -541,7 +534,7 @@ class Tracker:
             self.school_boxes[survivor] = _box(moved)
             self.school_boxes.pop(absorbed, None)
             self._raise_cells(survivor, rec_i, *spatial.grid_coord((rec_i.x, rec_i.y), self.levels.key_level, self.levels))
-            self._spatial_delete(absorbed, self._key_cell(rec_j.x, rec_j.y)[2])
+            self._spatial_delete(absorbed, self._leader_cells.pop(absorbed))
             # the absorbed leader's own trajectory is history now; archive it
             hist = sorted(
                 (
@@ -723,6 +716,8 @@ class Tracker:
             raise AffiliationError("spatial/leader mismatch: missing %s extra %s" % (missing, extra))
         if self.leader_count != len(leaders):
             raise AffiliationError("leader counter %d != %d" % (self.leader_count, len(leaders)))
+        if self._leader_cells.keys() != leaders:
+            raise AffiliationError("leader cell map does not hold exactly the leaders")
         for oid, a in status.items():
             if not a.is_leader and self.loc.latest(_id_key(oid), "loc", "rec") is not None:
                 raise AffiliationError("follower %d still has a live location row" % oid)

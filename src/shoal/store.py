@@ -11,8 +11,12 @@ A table whose every tier TTL is infinite never ages. If it also has no
 eviction callback, it holds state rather than history bound for an archive,
 and it is a current-state table: it keeps one cell per column, as a Bigtable
 column family with a one-version GC policy does. A put there replaces the
-column's cell unless the cell has a larger timestamp (at equal timestamps the
-later write wins), which is the cell `latest` would return anyway.
+column's cell whatever the timestamps: the last write wins. The writer keeps
+the order of its writes the order of its events (shoal's tracker writes these
+tables only under one lock), while the timestamps need not follow it: a merge
+stamps statuses with the clock time, and a later write for the same object
+may carry its own, earlier report time when updates arrive out of global time
+order. Keeping the larger timestamp there would drop the newer state.
 
 Each finite tier keeps an expiry queue: a min-heap of (timestamp, sequence,
 row, column, cell) entries pushed when a cell enters the tier. A tick pops
@@ -31,6 +35,7 @@ import heapq
 import itertools
 import math
 import os
+import shutil
 import struct
 import tempfile
 import threading
@@ -201,8 +206,7 @@ class Table:
             raise UnknownFamilyError("family %r not declared on table %s" % (family, self.name))
 
     def put(self, row: bytes, family: str, column: str, value: bytes, timestamp: int) -> None:
-        """Add a cell version; in a current-state table, replace the column's cell
-        unless that one has a larger timestamp."""
+        """Add a cell version; in a current-state table, replace the column's cell."""
         self._check_family(family)
         with self._lock:
             cols = self._rows.get(row)
@@ -219,8 +223,7 @@ class Table:
             cell = _Cell(timestamp, value)
             self.puts += 1
             if self.current_state and t0:
-                if timestamp >= t0[0].ts:
-                    t0[0] = cell
+                t0[0] = cell
                 return
             _insert(t0, cell)
             self.tier_cells[0] += 1
@@ -413,12 +416,11 @@ class Store:
     def age_tick(self, now_us: int) -> int:
         return sum(t.age_tick(now_us) for t in self._tables.values())
 
-    def drain_aging(self, horizon_us: int | None = None) -> int:
+    def drain_aging(self) -> int:
         """Repeat age_tick until no cell moves (at an effectively infinite now)."""
-        now = horizon_us if horizon_us is not None else (1 << 62)
         total = 0
         while True:
-            m = self.age_tick(now)
+            m = self.age_tick(1 << 62)
             total += m
             if m == 0:
                 return total
@@ -427,8 +429,11 @@ class Store:
         return list(self._tables.values())
 
     def close(self) -> None:
+        """Close the tier files; remove the tier directory if the store made it."""
         for t in self._tables.values():
             t.close()
+        if self._own_dir:
+            shutil.rmtree(self._dir, ignore_errors=True)
 
     @property
     def tier_dir(self) -> str:

@@ -106,9 +106,6 @@ class RoadMap:
     buildings: tuple[Building, ...]
     doors: dict[tuple[str, int], list[tuple[float, int]]] = field(compare=False)
 
-    def road_lines(self) -> int:
-        return self.blocks + 1
-
 
 def generate_map(cfg: WorkloadConfig) -> RoadMap:
     """Deterministic building grid with one entrance per building."""

@@ -103,12 +103,17 @@ class TestSimulate:
         out = str(tmp_path / "sim")
         code = main([
             "simulate", "--seed", "2", "--out", out,
-            "n_agents=24", "duration=3.0", "workers=3",
+            "n_agents=24", "duration=8.0", "workers=2",  # longer than a 5 s clustering period
             "work_dir=" + str(tmp_path / "wd"),
         ])
         assert code == EXIT_OK
-        summary = [r for r in read_jsonl(out) if r["type"] == "summary"][-1]
+        rows = read_jsonl(out)
+        summary = [r for r in rows if r["type"] == "summary"][-1]
         assert summary["received"] > 0
+        assert summary["received"] == (summary["shed"] + summary["leader_updates"]
+                                       + summary["promotions"] + summary["registrations"])
+        clustering = [r for r in rows if r["type"] == "clustering"]
+        assert {r["cell"] for r in clustering} == {"L1:%d" % c for c in range(4)}
 
 
 class TestNnbench:

@@ -1,6 +1,9 @@
 """Engine wiring: sim clock, scheduled aging and clustering, archive flow."""
 
 import math
+import os
+import sys
+import threading
 
 from shoal.engine import Engine, EngineConfig
 from shoal.schooling import SchoolConfig, UpdateMessage
@@ -39,6 +42,69 @@ class TestClock:
         e.advance_time(3.5)
         assert e.now == 3.5
         e.close()
+
+
+class TestThreadedIngest:
+    def test_ingest_threads_keep_the_tables_mirrored(self, tmp_path):
+        # three threads split the trace by id and each moves the clock as
+        # its own updates reach it; records outlive some report intervals
+        e = make_engine(
+            tmp_path, school=SchoolConfig(cluster_period=5.0), location_ttls=(2.0, 2.0, 2.0),
+            archive_enabled=False)
+        tr = e.tracker
+        msgs = list(Generator(WorkloadConfig(seed=1, n_agents=1000, duration=60.0)).messages())
+        errors = []
+        ticks = []  # each aging tick's time: once per simulated second, in order
+        age_tick = e.store.age_tick
+
+        def counted_tick(now_us):
+            ticks.append(now_us)
+            return age_tick(now_us)
+
+        e.store.age_tick = counted_tick
+
+        def feed(part):
+            try:
+                for m in part:
+                    e.ingest(m)
+            except Exception as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for sec in range(60):
+                parts = [[m for m in msgs if sec <= m.t < sec + 1 and m.oid % 3 == w] for w in range(3)]
+                threads = [threading.Thread(target=feed, args=(p,)) for p in parts]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30.0)
+                assert not any(th.is_alive() for th in threads)
+                assert errors == []
+                tr.check_consistency()
+        finally:
+            sys.setswitchinterval(switch)
+        assert tr.updates == len(msgs) and tr.rejected == 0
+        assert tr.updates == tr.sheds + tr.leader_updates + tr.promotions + tr.registrations
+        assert tr.merges > 0 and tr.promotions > 0 and e.now >= 59.0
+        assert ticks == [sec * 1_000_000 for sec in range(1, 60)]
+        e.close()
+
+
+class TestWorkDir:
+    def test_close_removes_only_a_work_dir_it_made(self, tmp_path):
+        e = Engine()
+        made = e.work_dir
+        e.ingest(msg(1, 0.5, 100.0, 100.0))
+        assert os.path.isdir(made)
+        e.close()
+        assert not os.path.exists(made)
+        e = make_engine(tmp_path)
+        e.ingest(msg(1, 0.5, 100.0, 100.0))
+        e.drain()
+        e.close()
+        assert os.listdir(os.path.join(e.work_dir, "pages"))
 
 
 class TestAgingFlow:

@@ -16,6 +16,7 @@ from shoal.schooling import (
     StaleUpdateError,
     Tracker,
     UpdateMessage,
+    UpdateOutcome,
     hexagon_bin,
 )
 from shoal.spatial import LevelConfig, SpatialIndex
@@ -186,13 +187,26 @@ class TestUpdateProcedure:
         assert tr.affiliation_of(2) == Affiliation(False, 1, (0.0, 13.0), 0.0)
         tr.check_consistency()
 
+    def test_promotion_after_a_merge_stamped_later(self, tmp_path):
+        # updates out of global time order: the merge is stamped with a clock
+        # time later than the absorbed leader's next report
+        _, tr = make_tracker(tmp_path)
+        tr.process_update(msg(1, 5.0, 100.0, 100.0))
+        tr.process_update(msg(2, 5.0, 110.0, 100.0))
+        assert tr.merge_schools(1, 2, 5.3)
+        out = tr.process_update(msg(2, 5.25, 600.0, 600.0))
+        assert out == UpdateOutcome(Outcome.PROMOTED, 4)
+        assert tr.affiliation_of(2) == Affiliation(True, 2, (0.0, 0.0), 5.25)
+        assert tr.followers_of(1) == []
+        tr.check_consistency()
+
     def test_school_size_accounting(self, tmp_path):
         _, tr = make_tracker(tmp_path)
         for oid in (1, 2, 3):
             tr.process_update(msg(oid, 0.0, 100.0 + oid, 100.0, 1.0, 0.0))
         tr.merge_schools(1, 2, 0.0)
         tr.merge_schools(1, 3, 0.0)
-        assert tr.school_count() == 1
+        assert tr.leader_count == 1
         assert tr.object_count == 3
 
 
@@ -416,3 +430,14 @@ class TestEviction:
             (1, LocationRecord(0.0, 100.0, 100.0, 1.0, 0.0)),
             (1, LocationRecord(2.0, 102.0, 100.0, 1.0, 0.0)),
         ]
+
+    def test_leader_whose_record_aged_out_moves_its_one_spatial_row(self, tmp_path):
+        store, tr = make_tracker(tmp_path, ttls=(1.0,))
+        tr.process_update(msg(1, 0.0, 100.0, 100.0))
+        store.age_tick(3_000_000)
+        assert tr.latest_record(1) is None
+        out = tr.process_update(msg(1, 4.0, 900.0, 900.0))
+        assert out == UpdateOutcome(Outcome.LEADER_UPDATED, 3)
+        cell = spatial.encode((900.0, 900.0), LEVELS.key_level, LEVELS)
+        assert tr.spa.keys() == [cell.key() + b".1"]
+        tr.check_consistency()

@@ -1,5 +1,6 @@
 """Sorted store: ordering, versions, range scans, tier aging, eviction."""
 
+import os
 import struct
 import threading
 
@@ -281,16 +282,16 @@ class TestExpiryQueues:
 
 
 class TestCurrentState:
-    def test_put_replaces_unless_older(self, store):
+    def test_last_write_wins(self, store):
         t = store.create_table("t", ("fam",), tier_ttls=(float("inf"),))
         assert t.current_state
         t.put(b"r", "fam", "c", b"first", 10)
         t.put(b"r", "fam", "c", b"second", 20)
         assert [(c.timestamp, c.value) for c in t.get_row(b"r")] == [(20, b"second")]
-        t.put(b"r", "fam", "c", b"older", 15)  # does not replace
-        assert t.latest(b"r", "fam", "c") == (20, b"second")
-        t.put(b"r", "fam", "c", b"same", 20)  # equal timestamp: the later write wins
-        assert t.latest(b"r", "fam", "c") == (20, b"same")
+        t.put(b"r", "fam", "c", b"older", 15)  # an earlier timestamp replaces too
+        assert t.latest(b"r", "fam", "c") == (15, b"older")
+        t.put(b"r", "fam", "c", b"same", 15)
+        assert t.latest(b"r", "fam", "c") == (15, b"same")
         assert t.puts == 4
         assert t.cell_count() == 1 and t.tier_cells == [1]
 
@@ -317,6 +318,20 @@ class TestCurrentState:
             t.put(b"r", "fam", "c", b"old", 1)
             t.put(b"r", "fam", "c", b"new", 2)
             assert [c.value for c in t.get_row(b"r")] == [b"new", b"old"]
+
+
+class TestTierDir:
+    def test_close_removes_only_a_tier_dir_the_store_made(self, tmp_path):
+        own = Store()
+        t = own.create_table("t", ("fam",), tier_ttls=(1.0, 1.0))
+        t.put(b"r", "fam", "c", b"v", 0)
+        t.age_tick(2 * US)  # into the disk tier
+        assert os.listdir(own.tier_dir)
+        own.close()
+        assert not os.path.exists(own.tier_dir)
+        given = Store(tier_dir=str(tmp_path))
+        given.close()
+        assert os.path.isdir(str(tmp_path))
 
 
 class TestDiskTiers:
