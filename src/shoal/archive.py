@@ -11,9 +11,12 @@ simulated time) for the flush to complete.
 Disk timing is simulated: flush duration follows
     T_d = t_rot + t_seek + bytes / r_disk
 charged against a per-disk clock driven by record timestamps; the page bytes
-themselves are written synchronously to a real per-disk file. Flushed pages
-carry a header with their timestamp range so history queries can skip pages
-that cannot match; records still in a filling page are read from memory.
+themselves are written synchronously to a real per-disk file, one buffer per
+page. Flushed pages carry a header with their timestamp range so history
+queries can skip pages that cannot match. A page's fixed-size records are
+sorted by (id, timestamp), so an object query bisects each page it reads to
+the object's run and decodes only that run; a region query decodes whole
+pages. Records still in a filling page are read from memory.
 
 The optimizer picks the disk count n_d maximizing min(U_d, R_d) subject to
 pages filling no faster than they flush (min T_m >= max T_d), where
@@ -24,6 +27,7 @@ pages filling no faster than they flush (min T_m >= max T_d), where
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import struct
@@ -39,6 +43,7 @@ PAGE_MAGIC = b"MOPG"
 _PAGE_HEADER = struct.Struct("<4sIQQII")  # magic, count, min_ts, max_ts, disk, seq
 _RECORD = struct.Struct("<QQdddd")  # id, timestamp us, x, y, vx, vy
 RECORD_SIZE = _RECORD.size
+_RECORD_KEY = struct.Struct("<QQ")  # a record's leading (id, timestamp us)
 
 
 class ArchiveError(Exception):
@@ -280,19 +285,29 @@ class Archiver:
                 self._rotate(disk, self._now)
 
     def _rotate(self, disk: _Disk, now: float) -> None:
+        full = disk.pages[disk.filling]
+        data = self._pack_page(disk, full)  # before any change: a bad record leaves all as it was
         sibling = disk.pages[1 - disk.filling]
         if sibling.flush_end > now:
             # page filled before its sibling finished flushing
             self.blocked_appends += 1
             now = sibling.flush_end
-        full = disk.pages[disk.filling]
         disk.filling = 1 - disk.filling
-        self._flush_page(disk, full, now)
+        self._flush_page(disk, full, data, now)
 
-    def _flush_page(self, disk: _Disk, page: _Page, now: float) -> float:
-        """Write the page out and charge its simulated duration; returns T_d."""
-        recs = sorted(page.records)  # (id, timestamp) order
-        nbytes = len(recs) * self.params.s_rec
+    def _pack_page(self, disk: _Disk, page: _Page) -> bytes:
+        """Header and records of the page, sorted by (id, timestamp), in one buffer."""
+        recs = sorted(page.records)
+        min_ts = min((r[1] for r in recs), default=0)
+        max_ts = max((r[1] for r in recs), default=0)
+        parts = [_PAGE_HEADER.pack(PAGE_MAGIC, len(recs), min_ts, max_ts, disk.idx, disk.seq)]
+        parts.extend(_RECORD.pack(*r) for r in recs)
+        return b"".join(parts)
+
+    def _flush_page(self, disk: _Disk, page: _Page, data: bytes, now: float) -> float:
+        """Write the packed page out and charge its simulated duration; returns T_d."""
+        _, count, min_ts, max_ts, _, _ = _PAGE_HEADER.unpack_from(data)
+        nbytes = count * self.params.s_rec
         duration = self.params.overhead + nbytes / self.params.r_disk
         start = max(now, disk.busy_until)
         page.flush_end = start + duration
@@ -303,16 +318,11 @@ class Archiver:
         f = disk.file()
         f.seek(0, os.SEEK_END)
         offset = f.tell()
-        if recs:
-            min_ts = min(r[1] for r in recs)
-            max_ts = max(r[1] for r in recs)
-        else:
-            min_ts = max_ts = 0
-        f.write(_PAGE_HEADER.pack(PAGE_MAGIC, len(recs), min_ts, max_ts, disk.idx, disk.seq))
-        for r in recs:
-            f.write(_RECORD.pack(*r))
+        f.write(data)
+        # flushed before the meta is published: readers pread the file
+        # descriptor, past Python's write buffer
         f.flush()
-        disk.meta.append(_PageMeta(offset, len(recs), min_ts, max_ts))
+        disk.meta.append(_PageMeta(offset, count, min_ts, max_ts))
         disk.seq += 1
         page.records = []
         return duration
@@ -323,7 +333,7 @@ class Archiver:
             disk = self.disks[disk_idx]
             page = disk.pages[disk.filling]
             now = self._now if self._now > -math.inf else 0.0
-            return self._flush_page(disk, page, now)
+            return self._flush_page(disk, page, self._pack_page(disk, page), now)
 
     def drain(self) -> int:
         """Flush every non-empty filling page; returns pages written."""
@@ -353,22 +363,26 @@ class Archiver:
 
     # ---------------------------------------------------------------- queries
 
-    def _read_page(self, disk: _Disk, meta: _PageMeta) -> Iterator[tuple]:
-        f = disk.file()
-        f.seek(meta.offset + _PAGE_HEADER.size)
-        return _RECORD.iter_unpack(f.read(meta.count * RECORD_SIZE))
+    def _pages(self, disk: _Disk, lo: int, hi: int) -> Iterator[bytes]:
+        """Record bytes of each flushed page whose header range meets [lo, hi] us;
+        counts the pages read and the pages skipped."""
+        fd = None
+        for meta in disk.meta:
+            if meta.count == 0 or meta.max_ts < lo or meta.min_ts > hi:
+                self.pages_skipped += 1
+                continue
+            self.pages_scanned += 1
+            if fd is None:
+                fd = disk.file().fileno()
+            yield os.pread(fd, meta.count * RECORD_SIZE, meta.offset + _PAGE_HEADER.size)
 
     def _scan(self, disk: _Disk, t0: float, t1: float) -> Iterator[tuple]:
         """Raw records of one disk stamped in [t0, t1]: those of each flushed
         page whose header range can match, then those still in the filling page."""
         lo = int(round(t0 * 1e6))
         hi = int(round(t1 * 1e6))
-        for meta in disk.meta:
-            if meta.count == 0 or meta.max_ts < lo or meta.min_ts > hi:
-                self.pages_skipped += 1
-                continue
-            self.pages_scanned += 1
-            for r in self._read_page(disk, meta):
+        for buf in self._pages(disk, lo, hi):
+            for r in _RECORD.iter_unpack(buf):
                 if lo <= r[1] <= hi:
                     yield r
         for r in disk.pages[disk.filling].records:
@@ -376,14 +390,34 @@ class Archiver:
                 yield r
 
     def _raw_records(self, oid: int, t0: float, t1: float) -> list[ArchivedRecord]:
+        """The object's own records stamped in [t0, t1], in time order.
+
+        A flushed page is sorted by (id, timestamp), so the object's records
+        in the window form one run: bisect each page the header range lets
+        through to the run's first record, (oid, t0) or after, and decode
+        forward while the id matches and the timestamp is at most t1. The
+        filling page is filtered in memory.
+        """
         d = self._placement.get(oid)
         if d is None:
             return []
-        out = [
-            ArchivedRecord(r[0], r[1] / 1e6, r[2], r[3], r[4], r[5])
-            for r in self._scan(self.disks[d], t0, t1)
-            if r[0] == oid
-        ]
+        disk = self.disks[d]
+        lo = int(round(t0 * 1e6))
+        hi = int(round(t1 * 1e6))
+        first = (oid, lo)
+        raw = []
+        for buf in self._pages(disk, lo, hi):
+            i = bisect.bisect_left(
+                range(len(buf) // RECORD_SIZE), first,
+                key=lambda j: _RECORD_KEY.unpack_from(buf, j * RECORD_SIZE),
+            )
+            for pos in range(i * RECORD_SIZE, len(buf), RECORD_SIZE):
+                r = _RECORD.unpack_from(buf, pos)
+                if r[0] != oid or r[1] > hi:
+                    break
+                raw.append(r)
+        raw.extend(r for r in disk.pages[disk.filling].records if r[0] == oid and lo <= r[1] <= hi)
+        out = [ArchivedRecord(r[0], r[1] / 1e6, r[2], r[3], r[4], r[5]) for r in raw]
         out.sort(key=lambda r: r.t)
         return out
 

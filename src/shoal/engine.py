@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .archive import Archiver, DiskModelParams
 from .nn import FlagConfig, Neighbor, NNQuery, Searcher
-from .schooling import MergeStats, SchoolConfig, Tracker, UpdateMessage, UpdateOutcome
+from .schooling import T_END, MergeStats, SchoolConfig, Tracker, UpdateMessage, UpdateOutcome
 from .spatial import LevelConfig
 from .store import Store
 
@@ -82,7 +82,11 @@ class Engine:
 
         Returns the MergeStats of the clustering passes that ran. A clock
         already at or past t, moved by another thread meanwhile, stays put.
+        A t the archive cannot store (non-finite, or 2^64 us or more) raises
+        ValueError and moves nothing.
         """
+        if not t < T_END:  # also true for NaN
+            raise ValueError("time %r is not below 2^64 us" % t)
         tracker = self.tracker
         stats = []
         with self._clock:

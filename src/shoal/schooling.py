@@ -58,6 +58,9 @@ from .store import Store
 _LOC = struct.Struct("<dddd")  # x, y, vx, vy
 _POS = struct.Struct("<dd")  # x, y
 _STATUS = struct.Struct("<BQddd")  # flag, leader id, disp x, disp y, since
+# the archive stores ids and microsecond timestamps as unsigned 64-bit
+ID_END = 1 << 64
+T_END = ID_END / 1e6  # every t below it has _us(t) < 2^64
 
 _LEADER = 76  # 'L'
 _FOLLOWER = 70  # 'F'
@@ -399,10 +402,19 @@ class Tracker:
         Leaders always write; followers within epsilon of their estimated
         location are shed with zero writes; deviating followers are promoted
         to leaders. Unknown ids register as leaders. A timestamp older than
-        the object's last accepted update raises StaleUpdateError.
+        the object's last accepted update raises StaleUpdateError. A
+        timestamp or id the archive cannot store (negative, non-finite, or
+        2^64 us or more) raises ValueError, as an off-map point does, before
+        any write.
         """
+        if not 0.0 <= msg.t < T_END:  # also false for NaN
+            raise ValueError("timestamp %r is not in [0, 2^64) us" % msg.t)
         last = self._last_t.get(msg.oid)
-        if last is not None and msg.t < last:
+        if last is None:
+            # a known id passed this test when it was first seen
+            if not 0 <= msg.oid < ID_END:
+                raise ValueError("id %r is not in [0, 2^64)" % msg.oid)
+        elif msg.t < last:
             self.rejected += 1
             raise StaleUpdateError("update for %d at t=%r precedes t=%r" % (msg.oid, msg.t, last))
         self.updates += 1

@@ -316,7 +316,7 @@ class Table:
                 self.deletes += 1
             return removed
 
-    def age_tick(self, now_us: int) -> int:
+    def age_tick(self, now_us: float) -> int:
         """Move cells older than their tier TTL one tier down; returns moves."""
         if not self._ages:
             return 0
@@ -413,14 +413,15 @@ class Store:
         except KeyError:
             raise UnknownTableError(name) from None
 
-    def age_tick(self, now_us: int) -> int:
+    def age_tick(self, now_us: float) -> int:
         return sum(t.age_tick(now_us) for t in self._tables.values())
 
     def drain_aging(self) -> int:
-        """Repeat age_tick until no cell moves (at an effectively infinite now)."""
+        """Repeat age_tick until no cell moves (at an infinite now: past every
+        storable timestamp, up to 2^64 us, by more than any finite TTL)."""
         total = 0
         while True:
-            m = self.age_tick(1 << 62)
+            m = self.age_tick(math.inf)
             total += m
             if m == 0:
                 return total

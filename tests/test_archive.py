@@ -1,8 +1,10 @@
 """Archive: disk-count optimizer, placement, page format, history queries."""
 
 import math
+import os
 import random
 import struct
+import threading
 
 import pytest
 
@@ -158,6 +160,48 @@ class TestPages:
         assert total == 20
         a.close()
 
+    def test_page_bytes_match_a_per_record_packing(self, tmp_path):
+        p = DiskModelParams(s_B=192.0)  # 4 records per page on one disk
+        a = Archiver(p, n_d=1, directory=str(tmp_path))
+        rng = random.Random(5)
+        appended = []  # (id, timestamp us, x, y, vx, vy)
+        for i in range(10):
+            oid, t = rng.choice([0, 3, 9, 2**64 - 1]), rng.uniform(0, 10)
+            r = rec(t, rng.uniform(0, 999), rng.uniform(0, 999), rng.uniform(-5, 5), rng.uniform(-5, 5))
+            appended.append((oid, int(round(t * 1e6)), r.x, r.y, r.vx, r.vy))
+            a.append(oid, r)
+        a.drain()
+        want = b""
+        for seq, start in enumerate(range(0, 10, 4)):
+            page = sorted(appended[start:start + 4])
+            want += _PAGE_HEADER.pack(PAGE_MAGIC, len(page), min(r[1] for r in page),
+                                      max(r[1] for r in page), 0, seq)
+            for r in page:
+                want += _RECORD.pack(*r)
+        assert open(a.disks[0].path, "rb").read() == want
+        a.close()
+
+    def test_unpackable_record_leaves_the_page_and_the_file_as_they_were(self, tmp_path):
+        p = DiskModelParams(s_B=192.0)
+        a = Archiver(p, n_d=1, directory=str(tmp_path))
+        for i in range(4):
+            a.append(i, rec(0.5 + i, 1.0, 1.0))
+        a.drain()
+        disk = a.disks[0]
+        size = os.path.getsize(disk.path)
+        for i in range(3):
+            a.append(i, rec(10.0 + i, 2.0, 2.0))
+        state = (disk.filling, disk.busy_until, disk.seq, len(disk.meta), a.flush_count(),
+                 a.blocked_appends, disk.transfer_time, disk.overhead_time)
+        with pytest.raises(struct.error):
+            a.append(7, rec(-1.0, 3.0, 3.0))  # fills the page; -1 s packs into no u64
+        assert (disk.filling, disk.busy_until, disk.seq, len(disk.meta), a.flush_count(),
+                a.blocked_appends, disk.transfer_time, disk.overhead_time) == state
+        assert len(disk.pages[disk.filling].records) == 4
+        assert os.path.getsize(disk.path) == size
+        assert [r.t for r in a.query_history_by_object(1, 0.0, 20.0)] == [1.5, 11.0]
+        a.close()
+
     def test_slow_fill_never_blocks(self, tmp_path):
         p = DiskModelParams(s_B=192.0)  # 4 records per page on one disk
         a = Archiver(p, n_d=1, directory=str(tmp_path))
@@ -281,6 +325,168 @@ class TestHistory:
         a = Archiver(DiskModelParams(), n_d=1, directory=str(tmp_path))
         with pytest.raises(ArchiveError):
             a.query_history_by_region(SpatialIndex(2, 0), 0.0, 1.0)
+        a.close()
+
+
+def _page_ranges(path):
+    """(min_ts, max_ts) of each non-empty page, parsed from the disk file."""
+    raw = open(path, "rb").read() if os.path.exists(path) else b""
+    out, pos = [], 0
+    while pos < len(raw):
+        _, count, min_ts, max_ts, _, _ = _PAGE_HEADER.unpack_from(raw, pos)
+        pos += _PAGE_HEADER.size + count * RECORD_SIZE
+        if count:
+            out.append((min_ts, max_ts))
+    return out
+
+
+class TestObjectQueries:
+    """query_history_by_object against a filter over every appended record."""
+
+    @staticmethod
+    def brute_force(appended, events, oid, t0, t1):
+        def raw(o, lo, hi):
+            return sorted((r for r in appended if r[0] == o and lo <= r[1] <= hi), key=lambda r: r[1])
+
+        out = raw(oid, t0, t1)
+        have = {(r[0], r[1]) for r in out}
+        evs = events.get(oid, [])
+        for i, (t, leader, disp) in enumerate(evs):
+            if leader is None:
+                continue
+            until = evs[i + 1][0] if i + 1 < len(evs) else math.inf
+            for r in raw(leader, max(t0, t), min(t1, until)):
+                if t < r[1] < until and (oid, r[1]) not in have:
+                    out.append((oid, r[1], r[2] + disp[0], r[3] + disp[1], r[4], r[5]))
+        out.sort(key=lambda r: (r[1], r[0]))
+        return out
+
+    @staticmethod
+    def expected_pages(a, oid, t0, t1, events):
+        """(scanned, skipped) of one query under the header-range rule."""
+        def pages(o, lo, hi):
+            d = a._placement.get(o)
+            if d is None:
+                return 0, 0
+            ranges = _page_ranges(a.disks[d].path)
+            lo_us, hi_us = round(lo * 1e6), round(hi * 1e6)
+            meet = sum(1 for mn, mx in ranges if mx >= lo_us and mn <= hi_us)
+            return meet, len(ranges) - meet
+
+        scanned, skipped = pages(oid, t0, t1)
+        evs = events.get(oid, [])
+        for i, (t, leader, _) in enumerate(evs):
+            until = evs[i + 1][0] if i + 1 < len(evs) else math.inf
+            if leader is not None and max(t0, t) <= min(t1, until):
+                sc, sk = pages(leader, max(t0, t), min(t1, until))
+                scanned, skipped = scanned + sc, skipped + sk
+        return scanned, skipped
+
+    def test_matches_a_filter_over_every_record(self, tmp_path):
+        rng = random.Random(8)
+        top = 2**64 - 1
+        queries = 0
+        for case in range(60):
+            n_d = rng.randint(1, 3)
+            per_page = rng.randint(1, 7)
+            a = Archiver(DiskModelParams(s_B=float(per_page * n_d * RECORD_SIZE)), n_d=n_d,
+                         directory=str(tmp_path / str(case)))
+            assert a.page_records == per_page
+            ids = [0, top, 5, 6, 7, 1000]
+            appended = []  # (id, t, x, y, vx, vy): one record per (id, t), t a whole number of us
+            events = {}  # id -> [(t, leader or None, disp)]
+            for oid in (5, 6):  # followers of 0 and of the top id for a while
+                leader = 0 if oid == 5 else top
+                since, until = rng.randrange(50) / 10, rng.randrange(50, 100) / 10
+                events[oid] = [(0.0, None, None), (since, leader, (1.0, -2.0)), (until, None, None)]
+                a.record_leader(oid, 0.0)
+                a.record_follower(oid, leader, (1.0, -2.0), since)
+                a.record_leader(oid, until)
+            for _ in range(rng.randint(0, 60)):
+                oid = rng.choice(ids)
+                t = rng.randrange(100) / 10
+                if any(r[:2] == (oid, t) for r in appended):
+                    continue
+                r = (oid, t, rng.uniform(0, 999), rng.uniform(0, 999), rng.uniform(-1, 1), 0.5)
+                appended.append(r)
+                a.append(oid, rec(*r[1:]))
+                if rng.random() < 0.05:
+                    a.drain()
+            if rng.random() < 0.5:
+                a.drain()
+            stamps = sorted({r[1] for r in appended}) or [0.0]
+            for _ in range(12):
+                oid = rng.choice(ids + [42])  # 42 is never appended
+                t0 = rng.choice(stamps + [rng.randrange(100) / 10, -1.0])
+                t1 = rng.choice(stamps + [rng.randrange(100) / 10, 20.0])
+                if t0 > t1:
+                    t0, t1 = t1, t0
+                want_pages = self.expected_pages(a, oid, t0, t1, events)
+                scanned, skipped = a.pages_scanned, a.pages_skipped
+                got = a.query_history_by_object(oid, t0, t1)
+                assert (a.pages_scanned - scanned, a.pages_skipped - skipped) == want_pages
+                assert [(r.oid, r.t, r.x, r.y, r.vx, r.vy) for r in got] == \
+                    self.brute_force(appended, events, oid, t0, t1)
+                queries += 1
+            a.close()
+        assert queries == 720
+
+    def test_runs_at_the_ends_of_a_page_and_pages_without_the_object(self, tmp_path):
+        a = Archiver(DiskModelParams(s_B=5.0 * RECORD_SIZE), n_d=1, directory=str(tmp_path))
+        top = 2**64 - 1
+        page = [(0, 1.0), (0, 2.0), (4, 1.5), (top, 1.0), (top, 3.0)]
+        for oid, t in page:
+            a.append(oid, rec(t, 1.0, 1.0))  # fills and flushes one page
+        for oid, t in [(4, 2.5), (4, 2.6), (9, 2.0), (9, 2.1), (9, 2.2)]:
+            a.append(oid, rec(t, 2.0, 2.0))  # a second page with no 0 and no top
+        a.append(0, rec(2.5, 3.0, 3.0))  # stays in the filling page
+        assert a.flush_count() == 2
+        assert [r.t for r in a.query_history_by_object(0, 1.0, 2.5)] == [1.0, 2.0, 2.5]
+        assert [r.t for r in a.query_history_by_object(0, 1.0, 1.0)] == [1.0]
+        assert [r.t for r in a.query_history_by_object(top, 3.0, 3.0)] == [3.0]
+        assert [r.t for r in a.query_history_by_object(top, 1.0, 2.9)] == [1.0]
+        scanned = a.pages_scanned
+        assert a.query_history_by_object(4, 1.6, 2.4) == []
+        assert a.pages_scanned - scanned == 2  # both header ranges meet [1.6, 2.4]
+        a.close()
+
+
+class TestConcurrentQueries:
+    def test_object_queries_while_another_thread_appends(self, tmp_path):
+        a = Archiver(DiskModelParams(s_B=4 * 8 * RECORD_SIZE), n_d=4, directory=str(tmp_path))
+        ids = list(range(12))
+        n = 3000
+        done = [0] * len(ids)  # per id: appends returned so far, in time order
+        errors = []
+
+        def writer():
+            try:
+                for i in range(n):
+                    oid = ids[i % len(ids)]
+                    a.append(oid, rec(i / 100, float(oid), float(i % 97)))
+                    done[oid] += 1
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        t = threading.Thread(target=writer)
+        t.start()
+        checked = overlapped = 0
+        while t.is_alive() or checked == 0:
+            oid = ids[checked % len(ids)]
+            before = done[oid]
+            overlapped += 0 < before < n // len(ids)
+            got = a.query_history_by_object(oid, 0.0, n / 100)
+            times = [r.t for r in got]
+            assert times == sorted(set(times))
+            # the object's k-th append is stamped (k * len(ids) + oid) / 100
+            want = [(k * len(ids) + oid) / 100 for k in range(before)]
+            assert times[:before] == want
+            assert all(r.oid == oid and not r.reconstructed for r in got)
+            checked += 1
+        t.join()
+        assert not errors
+        assert a.flush_count() >= n // 8 - 4
+        assert overlapped > 10  # queries that ran between the object's appends
         a.close()
 
 

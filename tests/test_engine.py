@@ -5,6 +5,9 @@ import os
 import sys
 import threading
 
+import pytest
+
+from shoal.archive import RECORD_SIZE, DiskModelParams
 from shoal.engine import Engine, EngineConfig
 from shoal.schooling import SchoolConfig, UpdateMessage
 from shoal.spatial import LevelConfig
@@ -126,6 +129,28 @@ class TestAgingFlow:
         got = e.archive.query_history_by_object(7, 0.0, 10.0)
         assert [r.t for r in got] == times
         assert e.archive.flush_count() >= 1
+        e.close()
+
+    def test_unstorable_update_leaves_aging_and_the_archive_intact(self, tmp_path):
+        # one disk of 4-record pages: a negative timestamp, once accepted,
+        # failed the flush of the page it shared with objects 1-3
+        e = make_engine(tmp_path, n_disks=1, archive_params=DiskModelParams(s_B=192.0))
+        for oid, t in ((1, 0.1), (2, 0.2), (3, 0.3)):
+            e.ingest(msg(oid, t, 100.0 * oid, 100.0))
+        for bad in (msg(5, -1.0, 500.0, 100.0), msg(5, math.inf, 500.0, 100.0),
+                    msg(-1, 0.3, 500.0, 100.0)):
+            with pytest.raises(ValueError):
+                e.ingest(bad)
+        assert e.now == 0.3  # an infinite timestamp moved no clock
+        with pytest.raises(ValueError):
+            e.advance_time(math.inf)
+        e.advance_time(2.0)
+        assert e.archive.appended == 3
+        e.drain()
+        assert e.archive.flush_count() == 1
+        for oid, t in ((1, 0.1), (2, 0.2), (3, 0.3)):
+            assert [r.t for r in e.archive.query_history_by_object(oid, 0.0, 2.0)] == [t]
+        assert os.path.getsize(e.archive.disks[0].path) == 32 + 3 * RECORD_SIZE
         e.close()
 
     def test_archive_can_be_disabled(self, tmp_path):

@@ -7,7 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shoal import spatial
+from shoal.archive import Archiver, DiskModelParams
 from shoal.schooling import (
+    ID_END,
+    T_END,
     Affiliation,
     AffiliationError,
     LocationRecord,
@@ -151,6 +154,45 @@ class TestUpdateProcedure:
         # an equal timestamp is not stale
         out = tr.process_update(msg(1, 5.0, 11.0, 10.0))
         assert out.kind is Outcome.LEADER_UPDATED
+
+    def test_unstorable_timestamp_or_id_rejected_before_any_write(self, tmp_path):
+        _, tr = make_tracker(tmp_path)
+        tr.process_update(msg(1, 0.0, 100.0, 100.0))
+        tr.process_update(msg(2, 0.0, 100.0, 103.0))
+        tr.merge_schools(1, 2, 0.0)  # 2 follows 1: its updates take the shed test
+        tables = (tr.loc, tr.spa, tr.aff)
+        before = [(t.puts, t.deletes, t.cell_count()) for t in tables]
+        bad = [
+            msg(5, -1.0, 100.0, 100.0),
+            msg(5, math.nan, 100.0, 100.0),
+            msg(5, math.inf, 100.0, 100.0),
+            msg(5, T_END, 100.0, 100.0),
+            msg(2, math.nan, 100.0, 103.0),
+            msg(2, math.inf, 100.0, 103.0),
+            msg(2, 1e300, 100.0, 103.0),
+            msg(-1, 1.0, 100.0, 100.0),
+            msg(ID_END, 1.0, 100.0, 100.0),
+        ]
+        for m in bad:
+            with pytest.raises(ValueError):
+                tr.process_update(m)
+        assert [(t.puts, t.deletes, t.cell_count()) for t in tables] == before
+        assert tr.updates == 2 and tr.rejected == 0
+        assert tr.affiliation_of(5) is None
+        tr.check_consistency()
+        assert tr.process_update(msg(2, 1.0, 100.0, 103.0)).kind is Outcome.SHED
+
+    def test_extreme_storable_timestamp_and_id_reach_the_archive(self, tmp_path):
+        ark = Archiver(DiskModelParams(s_B=96.0), n_d=1, directory=str(tmp_path / "pages"))
+        store, tr = make_tracker(tmp_path / "tiers", archive=ark, ttls=(1.0,))
+        t_max = math.nextafter(T_END, 0.0)
+        tr.process_update(msg(0, 0.0, 100.0, 100.0))
+        tr.process_update(msg(ID_END - 1, t_max, 900.0, 900.0))
+        store.drain_aging()
+        ark.drain()
+        assert [r.t for r in ark.query_history_by_object(0, 0.0, t_max)] == [0.0]
+        assert [r.t for r in ark.query_history_by_object(ID_END - 1, 0.0, t_max)] == [t_max]
+        ark.close()
 
     def test_shed_still_advances_the_staleness_clock(self, tmp_path):
         _, tr = make_tracker(tmp_path, epsilon=5.0)
